@@ -9,7 +9,9 @@ human summary goes to stderr. Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -20,15 +22,7 @@ import numpy as np
 from ._version import __version__
 from .deptest import PermutationConfig, gearys_c, normal_test, permutation_test
 from .errors import DegenerateStatisticError, InputError, NetacorrError, NumericError
-from .experiments import (
-    EXPERIMENT_NAMES,
-    run_correlation_distribution,
-    run_coverage_experiment,
-    run_degree_confounding_experiment,
-    run_gls_correction_experiment,
-    run_spurious_regression_experiment,
-    write_report,
-)
+from .experiments import _STUDIES, EXPERIMENT_NAMES, write_report
 from .graph import (
     adjacency_weights,
     generate_random_network,
@@ -204,7 +198,7 @@ def cmd_test(args):
 def cmd_residual_test(args):
     net, labels = load_edge_list(args.edges)
     y = _load_values_csv(args.values, labels)
-    names, xcols = _load_design_csv(args.design, labels)
+    names, xcols = _load_node_table(args.design, labels)
     design = np.column_stack([np.ones(len(y)), xcols])
     fit = ols(y, design)
     res = _run_test(fit.residuals, _weights_for(net, args.weights), args)
@@ -225,11 +219,7 @@ def cmd_residual_test(args):
 
 def cmd_simulate(args):
     rows, header = _simulate_rows(args)
-    if args.out is None:
-        _write_csv(sys.stdout, header, rows)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            _write_csv(fh, header, rows)
+    _write_out(args.out, _csv_text(header, rows))
     return 0
 
 
@@ -262,47 +252,12 @@ def _simulate_rows(args):
 def cmd_experiment(args):
     net = _experiment_network(args)
     threads = _threads_for(args)
-    kwargs = {"reps": args.reps, "seed": args.seed, "threads": threads}
-    name = args.name
-    if name == "correlation-distribution":
-        run = run_correlation_distribution(net, settings=args.sigmas, **kwargs)
-    elif name == "coverage":
-        if args.kappas is not None:
-            kwargs["kappa_list"] = args.kappas
-        kwargs["m"] = args.permutations
-        if args.a is not None:
-            kwargs["a"] = args.a
-        if args.sigma is not None:
-            kwargs["sigma"] = args.sigma
-        run = run_coverage_experiment(net, **kwargs)
-    elif name == "spurious-regression":
-        if args.kappas is not None:
-            kwargs["kappa_list"] = args.kappas
-        kwargs["m"] = args.permutations
-        if args.a is not None:
-            kwargs["a"] = args.a
-        if args.sigma is not None:
-            kwargs["sigma"] = args.sigma
-        run = run_spurious_regression_experiment(net, **kwargs)
-    elif name == "degree-confounding":
-        if args.effect_sizes is not None:
-            kwargs["effect_sizes"] = args.effect_sizes
-        kwargs["m"] = args.permutations
-        kwargs["control_degree"] = args.control_degree
-        run = run_degree_confounding_experiment(net, **kwargs)
-    else:  # gls-correction
-        if args.kappas is not None:
-            kwargs["kappa_list"] = args.kappas
-        if args.lambdas is not None:
-            kwargs["lambdas"] = args.lambdas
-        kwargs["estimator"] = args.estimator
-        kwargs["kinship"] = args.kinship
-        if args.a is not None:
-            kwargs["a"] = args.a
-        if args.sigma is not None:
-            kwargs["sigma"] = args.sigma
-        run = run_gls_correction_experiment(net, **kwargs)
-    paths = write_report(run, args.out, fmt=args.format)
+    runner, options = _STUDIES[args.name]
+    kwargs = {kw: getattr(args, opt) for opt, kw in options.items()
+              if getattr(args, opt) is not None}
+    run = runner(net, reps=args.reps, seed=args.seed, threads=threads, **kwargs)
+    with _writing(args.out):
+        paths = write_report(run, args.out, fmt=args.format)
     for path in paths:
         print(path)
     for row in run.rows:
@@ -318,11 +273,7 @@ def cmd_generate_network(args):
         seed=args.seed, require_connected=args.require_connected,
     )
     rows = [(str(i), str(j)) for i, j in net.edges]
-    if args.out is None:
-        _write_csv(sys.stdout, ("src", "dst"), rows)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            _write_csv(fh, ("src", "dst"), rows)
+    _write_out(args.out, _csv_text(("src", "dst"), rows))
     print(f"{args.model} network: n={net.n}, edges={len(net.edges)}", file=sys.stderr)
     return 0
 
@@ -400,11 +351,25 @@ def _emit(doc, args):
         line1 = ",".join(header)
         line2 = ",".join("" if flat[k] is None else str(flat[k]) for k in header)
         text = line1 + "\n" + line2 + "\n"
-    if args.out is None:
+    _write_out(args.out, text)
+
+
+def _write_out(path, text):
+    """Write text to the --out file, or to stdout when path is None."""
+    if path is None:
         sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        return
+    with _writing(path), open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Report a failed --out write as an InputError that names the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _flatten(doc, prefix="", out=None):
@@ -431,10 +396,12 @@ def _fmt_cell(v):
     return str(v)
 
 
-def _write_csv(fh, header, rows):
-    writer = csv.writer(fh)
+def _csv_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _experiment_network(args):
@@ -478,44 +445,22 @@ def _threads_for(args):
 
 
 def _load_values_csv(path, labels):
-    rows = _read_csv_rows(path, expected_header=["node", "value"])
+    _names, table = _load_node_table(path, labels, expected_header=["node", "value"])
+    return table.ravel()  # the one value column
+
+
+def _load_node_table(path, labels, expected_header=None):
+    """Column names and an (n, columns) array of a node-keyed numeric CSV.
+
+    Rows are reordered to match labels. expected_header fixes the header
+    (the values file); None accepts node,<col1>[,...] (the design file).
+    """
+    header, rows = _read_csv_rows(path, expected_header)
+    kind = "design" if expected_header is None else "values"
     seen = {}
     for rownum, row in rows:
-        if len(row) != 2 or not row[0].strip():
-            raise InputError(f"{path}: malformed values row {rownum}: {row!r}")
-        label = row[0].strip()
-        if label in seen:
-            raise InputError(f"{path}: duplicate node {label!r} at row {rownum}")
-        try:
-            val = float(row[1])
-        except ValueError:
-            raise InputError(
-                f"{path}: non-numeric value for node {label!r} at row {rownum}"
-            ) from None
-        if not math.isfinite(val):
-            raise InputError(f"{path}: non-finite value for node {label!r}")
-        seen[label] = val
-    _check_label_match(path, seen, labels)
-    return np.array([seen[lab] for lab in labels])
-
-
-def _load_design_csv(path, labels):
-    with open(path, "r", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise InputError(f"{path}: empty design file")
-    header = [h.strip() for h in rows[0]]
-    if not header or header[0].lower() != "node" or len(header) < 2:
-        raise InputError(
-            f"{path}: design header must be node,<col1>[,...], got {','.join(header)!r}"
-        )
-    names = header[1:]
-    seen = {}
-    for rownum, row in enumerate(rows[1:], start=1):
-        if not row:
-            continue
         if len(row) != len(header) or not row[0].strip():
-            raise InputError(f"{path}: malformed design row {rownum}: {row!r}")
+            raise InputError(f"{path}: malformed {kind} row {rownum}: {row!r}")
         label = row[0].strip()
         if label in seen:
             raise InputError(f"{path}: duplicate node {label!r} at row {rownum}")
@@ -523,13 +468,13 @@ def _load_design_csv(path, labels):
             vals = [float(v) for v in row[1:]]
         except ValueError:
             raise InputError(
-                f"{path}: non-numeric design entry for node {label!r} at row {rownum}"
+                f"{path}: non-numeric {kind} entry for node {label!r} at row {rownum}"
             ) from None
         if not all(math.isfinite(v) for v in vals):
-            raise InputError(f"{path}: non-finite design entry for node {label!r}")
+            raise InputError(f"{path}: non-finite {kind} entry for node {label!r}")
         seen[label] = vals
     _check_label_match(path, seen, labels)
-    return names, np.array([seen[lab] for lab in labels])
+    return header[1:], np.array([seen[lab] for lab in labels])
 
 
 def _check_label_match(path, seen, labels):
@@ -545,7 +490,8 @@ def _check_label_match(path, seen, labels):
         raise InputError(f"{path}: node labels do not match the edge list ({'; '.join(parts)})")
 
 
-def _read_csv_rows(path, expected_header):
+def _read_csv_rows(path, expected_header=None):
+    """Stripped header and numbered non-blank rows of a node-keyed CSV."""
     try:
         fh = open(path, "r", newline="")
     except OSError as exc:
@@ -555,7 +501,12 @@ def _read_csv_rows(path, expected_header):
         header = next(reader, None)
         if header is None:
             raise InputError(f"{path}: empty file")
-        if [h.strip().lower() for h in header] != expected_header:
+        header = [h.strip() for h in header]
+        if expected_header is None:
+            if len(header) < 2 or header[0].lower() != "node":
+                raise InputError(f"{path}: design header must be node,<col1>[,...], "
+                                 f"got {','.join(header)!r}")
+        elif [h.lower() for h in header] != expected_header:
             raise InputError(
                 f"{path}: expected header {','.join(expected_header)!r}, "
                 f"got {','.join(header)!r}"
@@ -563,7 +514,7 @@ def _read_csv_rows(path, expected_header):
         out = [(rownum, row) for rownum, row in enumerate(reader, start=1) if row]
     if not out:
         raise InputError(f"{path}: no data rows")
-    return out
+    return header, out
 
 
 def _nonneg_int(text):

@@ -18,6 +18,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import DegenerateStatisticError, InputError
+from .graph import _check_seed
 
 __all__ = [
     "NullMoments",
@@ -109,9 +110,8 @@ def morans_i(y, w):
     Positive values indicate that linked nodes carry similar values; the
     expectation under random relabelling is -1/(n-1), not 0.
     """
-    y, w, d, ss = _validate(y, w)
-    s0 = float(w.sum())
-    return float(len(y) * (d @ w @ d) / (s0 * ss))
+    y, w, d, ss, s0 = _validate(y, w)
+    return _moran(d, w, s0, ss)
 
 
 def gearys_c(y, w):
@@ -122,8 +122,7 @@ def gearys_c(y, w):
     Values below 1 indicate positive dependence. Same input contract as
     :func:`morans_i`.
     """
-    y, w, d, ss = _validate(y, w)
-    s0 = float(w.sum())
+    y, w, d, ss, s0 = _validate(y, w)
     diff2 = (d[:, None] - d[None, :]) ** 2
     num = float((w * diff2).sum())
     return float((len(y) - 1) * num / (2.0 * s0 * ss))
@@ -143,11 +142,10 @@ def null_moments(y, w):
     S2 = sum_i (row_i + col_i)^2 and b2 = n * sum d^4 / (sum d^2)^2 the
     sample kurtosis of y (population normalization). Requires n >= 4.
     """
-    y, w, d, ss = _validate(y, w)
+    y, w, d, ss, s0 = _validate(y, w)
     n = len(y)
     if n < 4:
         raise InputError(f"null moments need n >= 4, got n={n}")
-    s0 = float(w.sum())
     s1 = float(0.5 * ((w + w.T) ** 2).sum())
     rows = w.sum(axis=1)
     cols = w.sum(axis=0)
@@ -170,11 +168,10 @@ def enumerate_null(y, w):
     over the n! values and values is the full array in itertools
     permutation order.
     """
-    y, w, d, ss = _validate(y, w)
+    y, w, d, ss, s0 = _validate(y, w)
     n = len(y)
     if n > _ENUM_CAP:
         raise InputError(f"enumeration is factorial; capped at n <= {_ENUM_CAP}, got {n}")
-    s0 = float(w.sum())
     perms = np.array(list(permutations(range(n))), dtype=np.intp)
     dp = d[perms]
     vals = n * ((dp @ w) * dp).sum(axis=1) / (s0 * ss)
@@ -200,10 +197,9 @@ def permutation_test(y, w, cfg=None):
     if cfg is None:
         cfg = PermutationConfig()
     _check_cfg(cfg)
-    y, w, d, ss = _validate(y, w)
+    y, w, d, ss, s0 = _validate(y, w)
     n = len(y)
-    s0 = float(w.sum())
-    i_obs = float(n * (d @ w @ d) / (s0 * ss))
+    i_obs = _moran(d, w, s0, ss)
 
     mom = i_std = p_normal = None
     if n >= 4:
@@ -215,7 +211,7 @@ def permutation_test(y, w, cfg=None):
         sizes.append(cfg.m % _CHUNK)
     streams = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
 
-    # The permuted statistic repeats the i_obs expression term for term, so
+    # The permuted statistic repeats the _moran expression term for term, so
     # inputs where the arithmetic is exact (small integer-valued y) tie bitwise.
     def chunk_counts(args):
         size, ss_child = args
@@ -258,18 +254,22 @@ def normal_test(y, w, alternative="greater"):
     """
     if alternative not in ("greater", "two-sided"):
         raise InputError(f"alternative must be 'greater' or 'two-sided', got {alternative!r}")
-    y, w, d, ss = _validate(y, w)
+    y, w, d, ss, s0 = _validate(y, w)
     n = len(y)
     if n < 4:
         raise InputError(f"normal test needs n >= 4, got n={n}")
-    s0 = float(w.sum())
-    i_obs = float(n * (d @ w @ d) / (s0 * ss))
+    i_obs = _moran(d, w, s0, ss)
     mom = null_moments(y, w)
     i_std, p_normal = _normal_tail(i_obs, mom, alternative, n)
     return MoranResult(
         i_stat=i_obs, n=n, s0=s0, moments=mom, i_std=i_std,
         p_normal=p_normal, p_perm=None, m_used=0, alternative=alternative,
     )
+
+
+def _moran(d, w, s0, ss):
+    """Moran's I of centred values d with weight total s0 and sum of squares ss."""
+    return float(len(d) * (d @ w @ d) / (s0 * ss))
 
 
 def _normal_tail(i_obs, mom, alternative, n):
@@ -293,8 +293,7 @@ def _normal_tail(i_obs, mom, alternative, n):
 def _check_cfg(cfg):
     if not isinstance(cfg.m, int) or cfg.m < 1:
         raise InputError(f"m must be a positive integer, got {cfg.m!r}")
-    if not isinstance(cfg.seed, (int, np.integer)) or cfg.seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {cfg.seed!r}")
+    _check_seed(cfg.seed)
     if cfg.alternative not in ("greater", "two-sided"):
         raise InputError(
             f"alternative must be 'greater' or 'two-sided', got {cfg.alternative!r}"
@@ -328,4 +327,4 @@ def _validate(y, w):
     ss = float(d @ d)
     if ss == 0.0:
         raise DegenerateStatisticError("zero-variance values: statistic undefined")
-    return y, w, d, ss
+    return y, w, d, ss, float(w.sum())

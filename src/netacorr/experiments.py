@@ -2,13 +2,28 @@
 naive estimators, and what corrections recover.
 
 Every experiment returns an ExperimentReport: summary rows (one per
-setting), the per-replicate records behind them, and an echo of the full
-configuration. Replicate r of experiment E under master seed s draws from
-streams seeded SeedSequence((E, s, r, tag)), so runs are reproducible,
-replicates are independent, and the same replicate shares its noise across
-settings (common random numbers). For the transmission process that means
-horizon kappa consumes a prefix of the draws of horizon kappa' > kappa,
-which makes monotone comparisons across kappa far less noisy.
+setting, or cell), the per-replicate records behind them, and an echo of
+the full configuration. Replicate r of experiment E under master seed s
+draws from streams seeded SeedSequence((E, s, r, tag)), so runs are
+reproducible, replicates are independent, results do not depend on the
+thread count, and the same replicate shares its noise across cells (common
+random numbers). For the transmission process that means horizon kappa
+consumes a prefix of the draws of horizon kappa' > kappa, which makes
+monotone comparisons across kappa far less noisy.
+
+All five runners share one path, _run_study. A runner validates its
+arguments, lists its cells, and defines one_rep(r), which returns one tuple
+of values per cell in cell order; the first value is the cell's estimate
+(a mean, slope or correlation). _run_study maps one_rep over the replicates
+and builds, for each cell:
+
+- one row: the cell's keys, then the row fields, then "reps". A field named
+  in _ROW_STATS is that statistic over the replicates; any other name is
+  the plain mean of the column of that name; a (key, source) pair stores
+  the statistic or column named source under key, or source itself when it
+  is not a string (a per-run constant).
+- one record per replicate: the cell's keys (or rep_keys), "rep", then
+  every column cast to its declared type.
 """
 
 from __future__ import annotations
@@ -23,8 +38,8 @@ import numpy as np
 from ._version import __version__
 from .deptest import PermutationConfig, permutation_test
 from .errors import InputError
-from .graph import adjacency_weights
-from .inference import gls, lmm_fit, mean_ci_naive, ols
+from .graph import _check_seed, adjacency_weights
+from .inference import _z_quantile, gls, lmm_fit, mean_ci_naive, ols
 from .simulate import (
     ConfoundConfig,
     TransmissionConfig,
@@ -48,14 +63,6 @@ __all__ = [
 # Leading stream tags, one per experiment, so experiments never share draws.
 _CORR, _COVER, _SPUR, _DEGREE, _GLSEXP = 1, 2, 3, 4, 5
 
-EXPERIMENT_NAMES = (
-    "correlation-distribution",
-    "coverage",
-    "spurious-regression",
-    "degree-confounding",
-    "gls-correction",
-)
-
 # Named (a, sigma, kappa) settings for the correlation-distribution runs.
 # The error scale controls how completely transmission wipes out the iid
 # start; the small-error setting runs long enough that node values collapse
@@ -66,6 +73,23 @@ DEFAULT_CORR_SETTINGS = (
     ("moderate-error", TransmissionConfig(a=0.9, sigma=0.01, kappa=10)),
     ("small-error", TransmissionConfig(a=0.9, sigma=0.0, kappa=50)),
 )
+
+# Per-cell row statistics over the replicates: est is the cell's first
+# column (its estimate), cols maps every column name to its values.
+_ROW_STATS = {
+    "coverage": lambda est, cols: cols["covered"].mean(),
+    "bias": lambda est, cols: est.mean(),
+    "mean_abs_error": lambda est, cols: np.abs(est).mean(),
+    "mean_se": lambda est, cols: cols["se"].mean(),
+    "sd_estimates": lambda est, cols: est.std(ddof=1),
+    "mc_se_mean_estimate": lambda est, cols: est.std(ddof=1) / np.sqrt(len(est)),
+    "reject_slope": lambda est, cols: 1.0 - cols["covered"].mean(),
+    "frac_abs_gt_half": lambda est, cols: np.mean(np.abs(est) > 0.5),
+}
+
+# Columns and row fields shared by the regression studies.
+_SLOPE_COLUMNS = (("slope", float), ("se", float), ("covered", int))
+_ESTIMATE_FIELDS = ("coverage", "bias", "mean_abs_error", "mean_se", "sd_estimates")
 
 
 @dataclass
@@ -156,29 +180,11 @@ def run_correlation_distribution(net, settings=None, reps=500, seed=0, threads=1
             else:
                 x = direct_transmission(net, cfg, rng=rng)
                 y = direct_transmission(net, cfg, rng=rng)
-            out.append(_pearson(x, y))
+            out.append((_pearson(x, y),))
         return out
 
-    per_rep = _map_reps(one_rep, reps, threads)
-    corrs = np.asarray(per_rep)  # (reps, n_settings)
-
-    rows = []
-    replicates = []
-    for j, (label, cfg) in enumerate(labelled):
-        c = corrs[:, j]
-        rows.append({
-            "label": label,
-            "a": None if cfg is None else cfg.a,
-            "sigma": None if cfg is None else cfg.sigma,
-            "kappa": None if cfg is None else cfg.kappa,
-            "corr_mean": float(c.mean()),
-            "corr_sd": float(c.std(ddof=1)),
-            "frac_abs_gt_half": float(np.mean(np.abs(c) > 0.5)),
-            "reps": reps,
-        })
-        replicates.extend(
-            {"label": label, "rep": r, "corr": float(c[r])} for r in range(reps)
-        )
+    cells = [{"label": label, **{k: getattr(cfg, k, None) for k in ("a", "sigma", "kappa")}}
+             for label, cfg in labelled]
     config = {
         "n": net.n,
         "settings": [
@@ -187,10 +193,10 @@ def run_correlation_distribution(net, settings=None, reps=500, seed=0, threads=1
         ],
         "threads": threads,
     }
-    return ExperimentReport(
-        name="correlation-distribution", reps=reps, seed=seed,
-        config=config, rows=rows, replicates=replicates,
-    )
+    return _run_study("correlation-distribution", one_rep, reps, seed, threads, config,
+                      cells, (("corr", float),),
+                      (("corr_mean", "corr"), ("corr_sd", "sd_estimates"), "frac_abs_gt_half"),
+                      rep_keys=("label",))
 
 
 def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
@@ -220,37 +226,12 @@ def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
                         float(res.p_perm <= alpha)))
         return out
 
-    per_rep = np.asarray(_map_reps(one_rep, reps, threads))  # (reps, nk, 4)
-
-    rows = []
-    replicates = []
-    for j, kappa in enumerate(kappa_list):
-        means = per_rep[:, j, 0]
-        ses = per_rep[:, j, 1]
-        covered = per_rep[:, j, 2]
-        rejects = per_rep[:, j, 3]
-        rows.append({
-            "kappa": kappa,
-            "coverage": float(covered.mean()),
-            "bias": float(means.mean()),
-            "mean_abs_error": float(np.abs(means).mean()),
-            "mean_se": float(ses.mean()),
-            "sd_estimates": float(means.std(ddof=1)),
-            "reject_y": float(rejects.mean()),
-            "reps": reps,
-        })
-        replicates.extend(
-            {
-                "kappa": kappa, "rep": r,
-                "estimate": float(means[r]), "se": float(ses[r]),
-                "covered": int(covered[r]), "reject_y": int(rejects[r]),
-            }
-            for r in range(reps)
-        )
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
               "level": level, "alpha": alpha, "m": m, "threads": threads}
-    return ExperimentReport(name="coverage", reps=reps, seed=seed,
-                            config=config, rows=rows, replicates=replicates)
+    return _run_study("coverage", one_rep, reps, seed, threads, config,
+                      [{"kappa": kappa} for kappa in kappa_list],
+                      (("estimate", float), ("se", float), ("covered", int), ("reject_y", int)),
+                      _ESTIMATE_FIELDS + ("reject_y",))
 
 
 def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
@@ -293,44 +274,15 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
                                        seeds[8], level, alpha))
         return out
 
-    per_rep = np.asarray(_map_reps(one_rep, reps, threads))  # (reps, labels, 6)
-
-    rows = []
-    replicates = []
-    for j, label in enumerate(labels):
-        slopes = per_rep[:, j, 0]
-        ses = per_rep[:, j, 1]
-        covered = per_rep[:, j, 2]
-        rej_x = per_rep[:, j, 3]
-        rej_y = per_rep[:, j, 4]
-        rej_res = per_rep[:, j, 5]
-        rows.append({
-            "kappa": label,
-            "coverage": float(covered.mean()),
-            "bias": float(slopes.mean()),
-            "mean_abs_error": float(np.abs(slopes).mean()),
-            "mean_se": float(ses.mean()),
-            "sd_estimates": float(slopes.std(ddof=1)),
-            "reject_slope": float(1.0 - covered.mean()),
-            "reject_x": float(rej_x.mean()),
-            "reject_y": float(rej_y.mean()),
-            "reject_resid": float(rej_res.mean()),
-            "reps": reps,
-        })
-        replicates.extend(
-            {
-                "kappa": label, "rep": r, "slope": float(slopes[r]),
-                "se": float(ses[r]), "covered": int(covered[r]),
-                "reject_x": int(rej_x[r]), "reject_y": int(rej_y[r]),
-                "reject_resid": int(rej_res[r]),
-            }
-            for r in range(reps)
-        )
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
               "include_permuted_baseline": include_permuted_baseline,
               "level": level, "alpha": alpha, "m": m, "threads": threads}
-    return ExperimentReport(name="spurious-regression", reps=reps, seed=seed,
-                            config=config, rows=rows, replicates=replicates)
+    return _run_study("spurious-regression", one_rep, reps, seed, threads, config,
+                      [{"kappa": label} for label in labels],
+                      _SLOPE_COLUMNS + (("reject_x", int), ("reject_y", int),
+                                        ("reject_resid", int)),
+                      _ESTIMATE_FIELDS + ("reject_slope", "reject_x", "reject_y",
+                                          "reject_resid"))
 
 
 def _spurious_cells(x, y, w, m, sx, sy, sr, level, alpha):
@@ -381,45 +333,17 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
             out.append((slope, se, covered, float(px <= alpha), float(pr <= alpha)))
         return out
 
-    per_rep = np.asarray(_map_reps(one_rep, reps, threads))
-
-    rows = []
-    replicates = []
-    for j, b in enumerate(effect_sizes):
-        slopes = per_rep[:, j, 0]
-        ses = per_rep[:, j, 1]
-        covered = per_rep[:, j, 2]
-        rej_x = per_rep[:, j, 3]
-        rej_res = per_rep[:, j, 4]
-        rows.append({
-            "b": b,
-            "controlled": int(control_degree),
-            "coverage": float(covered.mean()),
-            "bias": float(slopes.mean()),
-            "mean_abs_error": float(np.abs(slopes).mean()),
-            "mean_estimate": float(slopes.mean()),
-            "sd_estimates": float(slopes.std(ddof=1)),
-            "mc_se_mean_estimate": float(slopes.std(ddof=1) / np.sqrt(reps)),
-            "mean_se": float(ses.mean()),
-            "reject_y": reject_y,
-            "reject_x": float(rej_x.mean()),
-            "reject_resid": float(rej_res.mean()),
-            "reps": reps,
-        })
-        replicates.extend(
-            {
-                "b": b, "rep": r, "slope": float(slopes[r]), "se": float(ses[r]),
-                "covered": int(covered[r]), "reject_x": int(rej_x[r]),
-                "reject_resid": int(rej_res[r]),
-            }
-            for r in range(reps)
-        )
     config = {"n": net.n, "effect_sizes": list(effect_sizes),
               "outcome_effect": outcome_effect, "noise": noise,
               "control_degree": control_degree, "level": level,
               "alpha": alpha, "m": m, "threads": threads}
-    return ExperimentReport(name="degree-confounding", reps=reps, seed=seed,
-                            config=config, rows=rows, replicates=replicates)
+    return _run_study("degree-confounding", one_rep, reps, seed, threads, config,
+                      [{"b": b, "controlled": int(control_degree)} for b in effect_sizes],
+                      _SLOPE_COLUMNS + (("reject_x", int), ("reject_resid", int)),
+                      ("coverage", "bias", "mean_abs_error", ("mean_estimate", "slope"),
+                       "sd_estimates", "mc_se_mean_estimate", "mean_se",
+                       ("reject_y", reject_y), "reject_x", "reject_resid"),
+                      rep_keys=("b",))
 
 
 def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
@@ -482,39 +406,63 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
                 out.append((slope, se, float(lo_ci <= 0.0 <= hi_ci)))
         return out
 
-    per_rep = np.asarray(_map_reps(one_rep, reps, threads))
-    cells = [(kappa, lam) for kappa in kappa_list for lam in lambdas]
-
-    rows = []
-    replicates = []
-    for j, (kappa, lam) in enumerate(cells):
-        slopes = per_rep[:, j, 0]
-        ses = per_rep[:, j, 1]
-        covered = per_rep[:, j, 2]
-        rows.append({
-            "kappa": kappa,
-            "lambda": lam,
-            "estimator": estimator,
-            "coverage": float(covered.mean()),
-            "bias": float(slopes.mean()),
-            "mean_abs_error": float(np.abs(slopes).mean()),
-            "mean_se": float(ses.mean()),
-            "sd_estimates": float(slopes.std(ddof=1)),
-            "reps": reps,
-        })
-        replicates.extend(
-            {
-                "kappa": kappa, "lambda": lam, "rep": r,
-                "slope": float(slopes[r]), "se": float(ses[r]),
-                "covered": int(covered[r]),
-            }
-            for r in range(reps)
-        )
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
               "lambdas": list(lambdas), "estimator": estimator,
               "kinship": kinship, "level": level, "threads": threads}
-    return ExperimentReport(name="gls-correction", reps=reps, seed=seed,
-                            config=config, rows=rows, replicates=replicates)
+    return _run_study("gls-correction", one_rep, reps, seed, threads, config,
+                      [{"kappa": kappa, "lambda": lam, "estimator": estimator}
+                       for kappa in kappa_list for lam in lambdas],
+                      _SLOPE_COLUMNS, _ESTIMATE_FIELDS, rep_keys=("kappa", "lambda"))
+
+
+# Study name -> (runner, {CLI option: runner keyword}). The CLI passes each
+# listed option that is not None; other runner arguments keep their defaults.
+# The README's `netacorr experiment` table is generated from this one.
+_STUDIES = {
+    "correlation-distribution": (run_correlation_distribution, {"sigmas": "settings"}),
+    "coverage": (run_coverage_experiment, {
+        "kappas": "kappa_list", "permutations": "m", "a": "a", "sigma": "sigma"}),
+    "spurious-regression": (run_spurious_regression_experiment, {
+        "kappas": "kappa_list", "permutations": "m", "a": "a", "sigma": "sigma"}),
+    "degree-confounding": (run_degree_confounding_experiment, {
+        "effect_sizes": "effect_sizes", "permutations": "m",
+        "control_degree": "control_degree"}),
+    "gls-correction": (run_gls_correction_experiment, {
+        "kappas": "kappa_list", "lambdas": "lambdas", "estimator": "estimator",
+        "kinship": "kinship", "a": "a", "sigma": "sigma"}),
+}
+
+EXPERIMENT_NAMES = tuple(_STUDIES)
+
+
+def _run_study(name, one_rep, reps, seed, threads, config, cells, columns,
+               row_fields, rep_keys=None):
+    """Run one_rep over the replicates and assemble the report (see module doc)."""
+    per_rep = np.asarray(_map_reps(one_rep, reps, threads)).reshape(
+        reps, len(cells), len(columns))
+    rows = []
+    replicates = []
+    for j, cell in enumerate(cells):
+        cols = {col: per_rep[:, j, k] for k, (col, _) in enumerate(columns)}
+        est = per_rep[:, j, 0]
+        row = dict(cell)
+        for spec in row_fields:
+            key, source = spec if isinstance(spec, tuple) else (spec, spec)
+            if not isinstance(source, str):
+                row[key] = source
+            elif source in _ROW_STATS:
+                row[key] = float(_ROW_STATS[source](est, cols))
+            else:
+                row[key] = float(cols[source].mean())
+        row["reps"] = reps
+        rows.append(row)
+        keys = {k: cell[k] for k in (rep_keys or cell)}
+        replicates.extend(
+            {**keys, "rep": r, **{col: cast(cols[col][r]) for col, cast in columns}}
+            for r in range(reps)
+        )
+    return ExperimentReport(name=name, reps=reps, seed=seed, config=config,
+                            rows=rows, replicates=replicates)
 
 
 def _clipped_adjacency_kinship(net):
@@ -554,12 +502,6 @@ def _pearson(x, y):
     return float((dx @ dy) / np.sqrt((dx @ dx) * (dy @ dy)))
 
 
-def _z_quantile(level):
-    from scipy import stats
-
-    return float(stats.norm.ppf(0.5 + level / 2.0))
-
-
 def _rng(exp, seed, rep, tag):
     return np.random.default_rng(np.random.SeedSequence((exp, seed, rep, tag)))
 
@@ -578,5 +520,4 @@ def _map_reps(fn, reps, threads):
 def _check_reps(reps, seed):
     if not isinstance(reps, int) or reps < 2:
         raise InputError(f"reps must be an integer >= 2, got {reps!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_seed(seed)

@@ -70,7 +70,7 @@ def mean_ci_naive(y, level=0.95):
     n = len(y)
     m = float(y.mean())
     se = float(y.std(ddof=1) / math.sqrt(n))
-    z = float(stats.norm.ppf(0.5 + level / 2.0))
+    z = _z_quantile(level)
     return MeanEstimate(mean=m, se=se, ci=(m - z * se, m + z * se), level=level, n=n)
 
 
@@ -88,7 +88,7 @@ def ols(y, x, level=0.95):
     sigma2 = float(resid @ resid) / (n - p)
     xtx_inv = np.linalg.inv(x.T @ x)
     se = np.sqrt(sigma2 * np.diagonal(xtx_inv))
-    z = float(stats.norm.ppf(0.5 + level / 2.0))
+    z = _z_quantile(level)
     ci = np.column_stack([beta - z * se, beta + z * se])
     return RegressionFit(beta=beta, se=se, ci=ci, residuals=resid,
                          sigma2=sigma2, level=level)
@@ -116,7 +116,7 @@ def gls(y, x, sigma, level=0.95):
     cov_beta = np.linalg.inv(a)
     se = np.sqrt(np.diagonal(cov_beta))
     resid = y - x @ beta
-    z = float(stats.norm.ppf(0.5 + level / 2.0))
+    z = _z_quantile(level)
     ci = np.column_stack([beta - z * se, beta + z * se])
     return RegressionFit(beta=beta, se=se, ci=ci, residuals=resid,
                          sigma2=None, level=level)
@@ -210,6 +210,11 @@ def _golden_min(f, lo, hi, tol):
             d = lo + gr * (hi - lo)
             fd = f(d)
     return (lo + hi) / 2.0
+
+
+def _z_quantile(level):
+    """Standard normal quantile of a two-sided interval at this level."""
+    return float(stats.norm.ppf(0.5 + level / 2.0))
 
 
 def _check_values(y):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStatisticError, InputError
-from .graph import degrees, geodesic_distances
+from .graph import _check_seed, degrees, geodesic_distances
 
 __all__ = [
     "TransmissionConfig",
@@ -193,8 +193,7 @@ def monotone_pair(n, seed=0, rng=None):
 def _resolve_rng(seed, rng):
     if rng is not None:
         return rng
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_seed(seed)
     return np.random.default_rng(seed)
 
 

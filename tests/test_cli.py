@@ -33,6 +33,13 @@ def _write_values(path, labels, values):
             fh.write(f"{lab},{float(val)!r}\n")
 
 
+def _write_design(path, labels, columns):
+    with open(path, "w") as fh:
+        fh.write("node," + ",".join(columns) + "\n")
+        for i, lab in enumerate(labels):
+            fh.write(lab + "," + ",".join(repr(float(col[i])) for col in columns.values()) + "\n")
+
+
 @pytest.fixture
 def small_case(tmp_path):
     """A 40-node network plus matching transmitted values, both on disk."""
@@ -217,10 +224,7 @@ def test_cli_residual_test(small_case, run_cli, tmp_path):
     x1 = rng.standard_normal(40)
     x2 = rng.standard_normal(40)
     design = tmp_path / "design.csv"
-    with open(design, "w") as fh:
-        fh.write("node,x1,x2\n")
-        for i, lab in enumerate(labels):
-            fh.write(f"{lab},{float(x1[i])!r},{float(x2[i])!r}\n")
+    _write_design(design, labels, {"x1": x1, "x2": x2})
     code, out, _ = run_cli("residual-test", "--edges", edges, "--values", values,
                            "--design", str(design), "--seed", "2")
     assert code == 0
@@ -247,6 +251,52 @@ def test_cli_residual_test_design_errors(small_case, run_cli, tmp_path):
                            "--design", str(bad))
     assert code == 2
     assert "design header" in err
+
+
+def test_cli_residual_test_missing_design(small_case, run_cli, tmp_path):
+    _, _, _, edges, values = small_case
+    missing = tmp_path / "nope.csv"
+    code, _, err = run_cli("residual-test", "--edges", edges, "--values", values,
+                           "--design", str(missing))
+    assert code == 2
+    assert "cannot open" in err and str(missing) in err
+
+
+def test_cli_residual_test_collinear_design_exit_code(small_case, run_cli, tmp_path):
+    # SingularDesignError is an InputError, so it exits 2 like other bad input
+    _, labels, _, edges, values = small_case
+    x1 = np.random.default_rng(1).standard_normal(len(labels))
+    design = tmp_path / "collinear.csv"
+    _write_design(design, labels, {"x1": x1, "x2": 2.0 * x1})
+    code, _, err = run_cli("residual-test", "--edges", edges, "--values", values,
+                           "--design", str(design))
+    assert code == 2
+    assert "rank deficient" in err
+
+
+@pytest.mark.parametrize("command", [
+    "test", "residual-test", "simulate", "generate-network", "experiment",
+])
+def test_cli_unwritable_out(command, small_case, run_cli, tmp_path):
+    _, labels, y, edges, values = small_case
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    out = blocker / "result"
+    design = tmp_path / "design.csv"
+    _write_design(design, labels, {"x1": y ** 2})
+    argv = {
+        "test": ["test", "--edges", edges, "--values", values],
+        "residual-test": ["residual-test", "--edges", edges, "--values", values,
+                          "--design", str(design)],
+        "simulate": ["simulate", "--model", "transmission", "--edges", edges],
+        "generate-network": ["generate-network", "--n", "30", "--p", "0.15"],
+        "experiment": ["experiment", "coverage", "--edges", edges, "--reps", "2",
+                       "--kappas", "0", "--permutations", "9"],
+    }[command]
+    code, stdout, err = run_cli(*argv, "--out", str(out))
+    assert code == 2
+    assert "cannot write" in err and str(out) in err
+    assert stdout == ""
 
 
 def test_cli_simulate_transmission_round_trip(small_case, run_cli):
@@ -408,3 +458,19 @@ def test_cli_version_and_bad_flags(run_cli):
     assert code == 2
     code, _, _ = run_cli("frobnicate")
     assert code == 2
+
+
+def test_readme_experiment_table_matches_the_cli():
+    from pathlib import Path
+
+    from netacorr.experiments import _STUDIES
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in readme.read_text().splitlines() if line.startswith("| `")]
+    rows = [row for row in rows if row[0].strip("`") in _STUDIES]
+    assert [row[0].strip("`") for row in rows] == list(_STUDIES)
+    for (_, listed_runner, listed), (runner, options) in zip(rows, _STUDIES.values()):
+        assert listed_runner == f"`{runner.__name__}`"
+        flags = [part.split()[0].strip("`") for part in listed.split(", ")]
+        assert flags == ["--" + opt.replace("_", "-") for opt in options]

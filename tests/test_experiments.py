@@ -37,10 +37,68 @@ def test_coverage_experiment_schema_and_determinism():
     assert a.config["m"] == 99 and a.config["a"] == 0.5
 
 
-def test_coverage_experiment_threads_do_not_change_results():
-    a = run_coverage_experiment(NET, kappa_list=(0, 2), reps=30, seed=4, m=99, threads=1)
-    b = run_coverage_experiment(NET, kappa_list=(0, 2), reps=30, seed=4, m=99, threads=3)
+# One small run of each study: (runner, keyword arguments).
+SMALL_STUDIES = {
+    "correlation-distribution": (run_correlation_distribution, {}),
+    "coverage": (run_coverage_experiment, {"kappa_list": (0, 2), "m": 99}),
+    "spurious-regression": (run_spurious_regression_experiment,
+                            {"kappa_list": (0, 2), "m": 49}),
+    "degree-confounding": (run_degree_confounding_experiment, {"m": 49}),
+    "gls-correction": (run_gls_correction_experiment,
+                       {"kappa_list": (1, 2), "lambdas": (0.0, 0.5)}),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_STUDIES)
+def test_experiment_threads_do_not_change_results(name):
+    runner, kwargs = SMALL_STUDIES[name]
+    a = runner(NET, reps=30, seed=4, threads=1, **kwargs)
+    b = runner(NET, reps=30, seed=4, threads=3, **kwargs)
+    assert a.name == name
     assert a.rows == b.rows
+    assert a.replicates == b.replicates
+
+
+# The report columns, in order: these are the CSV headers of each study.
+STUDY_KEYS = {
+    "correlation-distribution": (
+        ["label", "a", "sigma", "kappa", "corr_mean", "corr_sd", "frac_abs_gt_half", "reps"],
+        ["label", "rep", "corr"],
+    ),
+    "coverage": (
+        ["kappa", "coverage", "bias", "mean_abs_error", "mean_se", "sd_estimates",
+         "reject_y", "reps"],
+        ["kappa", "rep", "estimate", "se", "covered", "reject_y"],
+    ),
+    "spurious-regression": (
+        ["kappa", "coverage", "bias", "mean_abs_error", "mean_se", "sd_estimates",
+         "reject_slope", "reject_x", "reject_y", "reject_resid", "reps"],
+        ["kappa", "rep", "slope", "se", "covered", "reject_x", "reject_y", "reject_resid"],
+    ),
+    "degree-confounding": (
+        ["b", "controlled", "coverage", "bias", "mean_abs_error", "mean_estimate",
+         "sd_estimates", "mc_se_mean_estimate", "mean_se", "reject_y", "reject_x",
+         "reject_resid", "reps"],
+        ["b", "rep", "slope", "se", "covered", "reject_x", "reject_resid"],
+    ),
+    "gls-correction": (
+        ["kappa", "lambda", "estimator", "coverage", "bias", "mean_abs_error", "mean_se",
+         "sd_estimates", "reps"],
+        ["kappa", "lambda", "rep", "slope", "se", "covered"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_STUDIES)
+def test_experiment_report_keys(name):
+    runner, kwargs = SMALL_STUDIES[name]
+    rep = runner(NET, reps=3, seed=0, **kwargs)
+    row_keys, rep_keys = STUDY_KEYS[name]
+    assert all(list(row) == row_keys for row in rep.rows)
+    assert all(list(record) == rep_keys for record in rep.replicates)
+    assert len(rep.replicates) == 3 * len(rep.rows)
+    assert all(isinstance(record[k], int) for record in rep.replicates
+               for k in rep_keys if k in ("rep", "covered") or k.startswith("reject_"))
 
 
 def test_coverage_rows_do_not_depend_on_which_kappas_ride_along():
