@@ -376,12 +376,11 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
             raise InputError(f"lambda values must be in [0, 1], got {lam!r}")
     n = net.n
 
-    base_by_kappa = {}
-    for kappa in kappa_list:
-        if kinship == "transmission":
-            base_by_kappa[kappa] = transmission_covariance(net, a, sigma, kappa)
-        else:
-            base_by_kappa[kappa] = _clipped_adjacency_kinship(net)
+    if kinship == "transmission":
+        base_by_kappa = {kappa: transmission_covariance(net, a, sigma, kappa)
+                         for kappa in kappa_list}
+    else:
+        base_by_kappa = dict.fromkeys(kappa_list, _clipped_adjacency_kinship(net))
 
     def one_rep(r):
         out = []

@@ -8,12 +8,15 @@ caller, so round-trips preserve identity by label rather than by index.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import operator
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import DegenerateStatisticError, InputError
 
@@ -58,16 +61,27 @@ class Network:
 
     @classmethod
     def from_edges(cls, n, edges):
-        """Build a Network from any iterable of unordered pairs, deduplicating."""
-        canon = {(min(i, j), max(i, j)) for i, j in edges}
+        """Build a Network from any iterable of unordered integer pairs, deduplicating."""
+        canon = set()
+        for i, j in edges:
+            try:
+                i, j = operator.index(i), operator.index(j)
+            except TypeError:
+                raise InputError(f"edge {(i, j)!r} has non-integer endpoints") from None
+            canon.add((min(i, j), max(i, j)))
         return cls(n=n, edges=tuple(sorted(canon)))
 
-    def adjacency_lists(self):
-        adj = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
+    @functools.cached_property
+    def adjacency(self):
+        """Symmetric 0/1 float CSR adjacency matrix, built on first use and cached.
+
+        Every weight, distance and degree function reads the graph from here;
+        the matrix is shared by all callers, so treat it as read-only.
+        """
+        e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        rows = np.concatenate([e[:, 0], e[:, 1]])
+        cols = np.concatenate([e[:, 1], e[:, 0]])
+        return sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n))
 
 
 def load_edge_list(source):
@@ -145,29 +159,12 @@ def adjacency_weights(net):
     """
     if len(net.edges) == 0:
         raise DegenerateStatisticError("graph has no edges; all weights are zero")
-    w = np.zeros((net.n, net.n))
-    for i, j in net.edges:
-        w[i, j] = 1.0
-        w[j, i] = 1.0
-    return w
+    return net.adjacency.toarray()
 
 
 def geodesic_distances(net):
-    """All-pairs shortest-path lengths by BFS; unreachable pairs are np.inf."""
-    n = net.n
-    adj = net.adjacency_lists()
-    dist = np.full((n, n), np.inf)
-    for s in range(n):
-        dist[s, s] = 0.0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            du = dist[s, u]
-            for v in adj[u]:
-                if not np.isfinite(dist[s, v]):
-                    dist[s, v] = du + 1.0
-                    q.append(v)
-    return dist
+    """All-pairs shortest-path lengths (hop counts); unreachable pairs are np.inf."""
+    return csgraph.shortest_path(net.adjacency, method="D", directed=False, unweighted=True)
 
 
 def inverse_geodesic_weights(net, gamma=1.0):
@@ -189,28 +186,12 @@ def inverse_geodesic_weights(net, gamma=1.0):
 
 def degrees(net):
     """Node degrees as an int ndarray."""
-    deg = np.zeros(net.n, dtype=int)
-    for i, j in net.edges:
-        deg[i] += 1
-        deg[j] += 1
-    return deg
+    return np.diff(net.adjacency.indptr).astype(int)
 
 
 def is_connected(net):
-    """True if every node is reachable from node 0 (single component)."""
-    if net.n == 1:
-        return True
-    adj = net.adjacency_lists()
-    seen = np.zeros(net.n, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return bool(seen.all())
+    """True if the graph is a single connected component."""
+    return csgraph.connected_components(net.adjacency, directed=False)[0] == 1
 
 
 _RETRY_CAP = 1000

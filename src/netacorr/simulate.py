@@ -73,15 +73,10 @@ def transmission_operator(net, a):
     """
     if not (0.0 <= a <= 1.0):
         raise InputError(f"transmission strength a must be in [0, 1], got {a!r}")
-    n = net.n
-    adj = net.adjacency_lists()
-    t = np.zeros((n, n))
-    for i in range(n):
-        if adj[i]:
-            t[i, adj[i]] = a / len(adj[i])
-            t[i, i] = 1.0 - a
-        else:
-            t[i, i] = 1.0
+    deg = degrees(net)
+    t = net.adjacency.toarray()
+    t *= (a / np.maximum(deg, 1))[:, None]
+    np.fill_diagonal(t, np.where(deg > 0, 1.0 - a, 1.0))
     return t
 
 

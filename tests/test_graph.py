@@ -2,8 +2,10 @@
 
 import io
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from netacorr import (
@@ -17,6 +19,7 @@ from netacorr import (
     inverse_geodesic_weights,
     is_connected,
     load_edge_list,
+    transmission_operator,
 )
 
 from conftest import random_network
@@ -39,6 +42,13 @@ def test_from_edges_normalizes():
     net = Network.from_edges(4, [(2, 1), (1, 2), (3, 0), (0, 3)])
     assert net.n == 4
     assert net.edges == ((0, 3), (1, 2))
+
+    net = Network.from_edges(3, np.array([[0, 1], [2, 1]]))
+    assert net.edges == ((0, 1), (1, 2))
+    assert all(type(v) is int for e in net.edges for v in e)
+
+    with pytest.raises(InputError, match="non-integer"):
+        Network.from_edges(3, [(0.0, 1.0)])
 
 
 def test_load_edge_list_labels_in_first_appearance_order(tmp_path):
@@ -144,6 +154,44 @@ def test_degrees_and_connectivity():
     assert is_connected(star)
     assert not is_connected(Network(4, ((0, 1), (2, 3))))
     assert is_connected(Network(1, ()))
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 30))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Network(n, tuple(e for e, k in zip(pairs, keep) if k))
+
+
+@settings(deadline=None)
+@given(net=graphs(), a=st.floats(0.0, 1.0))
+@example(net=Network(1, ()), a=0.5)
+@example(net=Network(4, ()), a=0.5)
+@example(net=Network(5, ((0, 1), (1, 2))), a=1.0)
+def test_graph_primitives_match_networkx(net, a):
+    g = nx.Graph()
+    g.add_nodes_from(range(net.n))
+    g.add_edges_from(net.edges)
+
+    ref = np.full((net.n, net.n), np.inf)
+    for i, lengths in nx.all_pairs_shortest_path_length(g):
+        for j, d in lengths.items():
+            ref[i, j] = d
+    assert np.array_equal(geodesic_distances(net), ref)
+    assert is_connected(net) == nx.is_connected(g)
+    assert degrees(net).tolist() == [d for _, d in sorted(g.degree)]
+    if net.edges:
+        assert np.array_equal(adjacency_weights(net), nx.to_numpy_array(g, nodelist=range(net.n)))
+
+    t = transmission_operator(net, a)
+    for i in range(net.n):
+        for j in range(net.n):
+            if i == j:
+                expect = 1.0 - a if g.degree[i] else 1.0
+            else:
+                expect = a / g.degree[i] if g.has_edge(i, j) else 0.0
+            assert t[i, j] == expect
 
 
 def test_er_generator_edge_count_band():
