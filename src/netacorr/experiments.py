@@ -37,9 +37,19 @@ import numpy as np
 
 from ._version import __version__
 from .deptest import PermutationConfig, permutation_test
-from .errors import InputError
+from .errors import BadCovarianceError, InputError
 from .graph import _check_seed, adjacency_weights
-from .inference import _z_quantile, gls, lmm_fit, mean_ci_naive, ols
+from .inference import (
+    _check_design,
+    _check_level,
+    _gls_core,
+    _gls_factor,
+    _lmm_core,
+    _lmm_factor,
+    _z_quantile,
+    mean_ci_naive,
+    ols,
+)
 from .simulate import (
     ConfoundConfig,
     TransmissionConfig,
@@ -364,7 +374,8 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
     the similarity matrix (adaptive rescaling); "gls" plugs K in as the
     known covariance. kinship "adjacency" swaps Sigma for a PSD-clipped,
     diagonal-normalized adjacency matrix, a structure-only analogue with
-    no exactness guarantee.
+    no exactness guarantee; that matrix is singular, so gls with it needs
+    every lambda > 0.
     """
     _check_reps(reps, seed)
     if estimator not in ("lmm", "gls"):
@@ -374,13 +385,12 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
     for lam in lambdas:
         if not (0.0 <= lam <= 1.0):
             raise InputError(f"lambda values must be in [0, 1], got {lam!r}")
+    _check_level(level)
     n = net.n
-
-    if kinship == "transmission":
-        base_by_kappa = {kappa: transmission_covariance(net, a, sigma, kappa)
-                         for kappa in kappa_list}
-    else:
-        base_by_kappa = dict.fromkeys(kappa_list, _clipped_adjacency_kinship(net))
+    core = _lmm_core if estimator == "lmm" else _gls_core
+    # K depends on the cell, never on the replicate: factor it once per cell.
+    factors = _cell_factors(net, kappa_list, lambdas, a, sigma, estimator, kinship)
+    z = _z_quantile(level)
 
     def one_rep(r):
         out = []
@@ -388,21 +398,12 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
             cfg = TransmissionConfig(a=a, sigma=sigma, kappa=kappa)
             x = direct_transmission(net, cfg, rng=_rng(_GLSEXP, seed, r, 0))
             y = direct_transmission(net, cfg, rng=_rng(_GLSEXP, seed, r, 1))
-            design = np.column_stack([np.ones(n), x])
-            base = base_by_kappa[kappa]
-            dbase = np.diag(np.diag(base))
+            y, design, _, _ = _check_design(y, np.column_stack([np.ones(n), x]))
             for lam in lambdas:
-                k = (1.0 - lam) * base + lam * dbase
-                if estimator == "gls":
-                    fit = gls(y, design, k, level=level)
-                    slope, se = float(fit.beta[1]), float(fit.se[1])
-                    lo_ci, hi_ci = float(fit.ci[1, 0]), float(fit.ci[1, 1])
-                else:
-                    fit = lmm_fit(y, design, k)
-                    slope, se = float(fit.beta[1]), float(fit.se[1])
-                    z = _z_quantile(level)
-                    lo_ci, hi_ci = slope - z * se, slope + z * se
-                out.append((slope, se, float(lo_ci <= 0.0 <= hi_ci)))
+                fit = core(y, design, factors[kappa, lam])
+                beta, se = (fit.beta, fit.se) if estimator == "lmm" else fit[:2]
+                slope, se = float(beta[1]), float(se[1])
+                out.append((slope, se, float(slope - z * se <= 0.0 <= slope + z * se)))
         return out
 
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
@@ -462,6 +463,27 @@ def _run_study(name, one_rep, reps, seed, threads, config, cells, columns,
         )
     return ExperimentReport(name=name, reps=reps, seed=seed, config=config,
                             rows=rows, replicates=replicates)
+
+
+def _cell_factors(net, kappa_list, lambdas, a, sigma, estimator, kinship):
+    """{(kappa, lambda): the estimator's factor of K_lambda}; no K is kept."""
+    factor = _lmm_factor if estimator == "lmm" else _gls_factor
+    kin = _clipped_adjacency_kinship(net) if kinship == "adjacency" else None
+    factors = {}
+    for kappa in kappa_list:
+        base = kin if kin is not None else transmission_covariance(net, a, sigma, kappa)
+        dbase = np.diag(np.diag(base))
+        for lam in lambdas:
+            try:
+                factors[kappa, lam] = factor((1.0 - lam) * base + lam * dbase, net.n)
+            except BadCovarianceError as exc:
+                if (estimator, kinship) != ("gls", "adjacency"):
+                    raise
+                raise BadCovarianceError(
+                    f"gls cannot use kinship='adjacency' at lambda={lam!r}: the "
+                    f"PSD-clipped adjacency kinship is singular ({exc}); use lambdas "
+                    "that are all > 0, or the lmm estimator (--estimator lmm)") from exc
+    return factors
 
 
 def _clipped_adjacency_kinship(net):

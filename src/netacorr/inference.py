@@ -105,21 +105,30 @@ def gls(y, x, sigma, level=0.95):
     """
     y, x, n, p = _check_design(y, x)
     _check_level(level)
+    beta, se, resid = _gls_core(y, x, _gls_factor(sigma, n))
+    z = _z_quantile(level)
+    ci = np.column_stack([beta - z * se, beta + z * se])
+    return RegressionFit(beta=beta, se=se, ci=ci, residuals=resid,
+                         sigma2=None, level=level)
+
+
+def _gls_factor(sigma, n):
+    """Validated lower Cholesky factor of an n x n covariance, for _gls_core."""
     sigma = _check_covariance(sigma, n, "sigma")
     try:
-        cf = cho_factor(sigma, lower=True)
+        return cho_factor(sigma, lower=True)
     except np.linalg.LinAlgError as exc:
         raise BadCovarianceError(f"sigma is not positive definite: {exc}") from exc
+
+
+def _gls_core(y, x, cf):
+    """(beta, se, residuals) of the GLS fit of checked y, x on a _gls_factor."""
     xw = cho_solve(cf, x)
     a = x.T @ xw
     beta = np.linalg.solve(a, xw.T @ y)
     cov_beta = np.linalg.inv(a)
     se = np.sqrt(np.diagonal(cov_beta))
-    resid = y - x @ beta
-    z = _z_quantile(level)
-    ci = np.column_stack([beta - z * se, beta + z * se])
-    return RegressionFit(beta=beta, se=se, ci=ci, residuals=resid,
-                         sigma2=None, level=level)
+    return beta, se, y - x @ beta
 
 
 _LOGD_LO, _LOGD_HI = -10.0, 10.0
@@ -144,13 +153,24 @@ def lmm_fit(y, x, k):
     is identified.
     """
     y, x, n, p = _check_design(y, x)
+    return _lmm_core(y, x, _lmm_factor(k, n))
+
+
+def _lmm_factor(k, n):
+    """(eigenvalues clipped at 0, eigenvectors) of a validated n x n PSD k."""
     k = _check_covariance(k, n, "k")
     lam, u = np.linalg.eigh(k)
     if lam[-1] > 0 and lam[0] < -1e-8 * max(1.0, lam[-1]):
         raise BadCovarianceError(
             f"k has a substantially negative eigenvalue ({lam[0]:.3g}); not PSD"
         )
-    lam = np.clip(lam, 0.0, None)
+    return np.clip(lam, 0.0, None), u
+
+
+def _lmm_core(y, x, factor):
+    """The lmm_fit of checked y, x on an _lmm_factor of k: rotate, then profile."""
+    lam, u = factor
+    n = len(y)
     yt = u.T @ y
     xt = u.T @ x
 

@@ -274,6 +274,24 @@ def test_cli_residual_test_collinear_design_exit_code(small_case, run_cli, tmp_p
     assert "rank deficient" in err
 
 
+def test_cli_experiment_gls_adjacency_kinship_exit_code(run_cli, tmp_path):
+    # the clipped adjacency kinship is singular at lambda = 0, which gls
+    # cannot factor: exit 2 with the lambda and the way out named
+    edges = tmp_path / "edges.csv"
+    run_cli("generate-network", "--n", "40", "--p", "0.12", "--seed", "6",
+            "--out", str(edges))
+    argv = ["experiment", "gls-correction", "--edges", str(edges), "--reps", "3",
+            "--kappas", "1", "--estimator", "gls", "--kinship", "adjacency",
+            "--out", str(tmp_path / "results")]
+    code, out, err = run_cli(*argv, "--lambdas", "0,0.5")
+    assert code == 2 and out == ""
+    assert "kinship='adjacency'" in err and "lambda=0.0" in err
+    assert "> 0" in err and "--estimator lmm" in err
+    code, out, _ = run_cli(*argv, "--lambdas", "0.1,0.5")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 2
+
+
 @pytest.mark.parametrize("command", [
     "test", "residual-test", "simulate", "generate-network", "experiment",
 ])

@@ -9,8 +9,19 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from netacorr import InputError, TransmissionConfig, generate_random_network
+from netacorr import (
+    BadCovarianceError,
+    InputError,
+    TransmissionConfig,
+    direct_transmission,
+    generate_random_network,
+    gls,
+    lmm_fit,
+    transmission_covariance,
+)
+from netacorr import experiments, inference
 from netacorr.experiments import (
     DEFAULT_CORR_SETTINGS,
     run_correlation_distribution,
@@ -180,12 +191,93 @@ def test_gls_experiment_validation():
         run_gls_correction_experiment(NET, kinship="identity", reps=10, seed=0)
     with pytest.raises(InputError):
         run_gls_correction_experiment(NET, lambdas=(1.5,), reps=10, seed=0)
+    for estimator in ("lmm", "gls"):
+        with pytest.raises(InputError, match="confidence level"):
+            run_gls_correction_experiment(NET, estimator=estimator, level=1.5,
+                                          reps=10, seed=0)
 
 
 def test_gls_experiment_adjacency_kinship_runs():
     rep = run_gls_correction_experiment(NET, kappa_list=(1,), lambdas=(0.0,),
                                         reps=20, seed=4, kinship="adjacency")
     assert 0.0 <= rep.rows[0]["coverage"] <= 1.0
+
+
+def test_gls_experiment_gls_on_adjacency_kinship_needs_positive_lambdas():
+    # the PSD-clipped adjacency kinship is singular, so its Cholesky fails at
+    # lambda = 0; the run stops before any replicate with a named way out
+    with pytest.raises(BadCovarianceError) as info:
+        run_gls_correction_experiment(NET, kappa_list=(1,), lambdas=(0.5, 0.0),
+                                      reps=10, seed=0, estimator="gls",
+                                      kinship="adjacency")
+    msg = str(info.value)
+    assert "kinship='adjacency'" in msg and "lambda=0.0" in msg
+    assert "> 0" in msg and "--estimator lmm" in msg
+    rep = run_gls_correction_experiment(NET, kappa_list=(1,), lambdas=(0.1, 0.5),
+                                        reps=10, seed=0, estimator="gls",
+                                        kinship="adjacency")
+    assert all(0.0 <= row["coverage"] <= 1.0 for row in rep.rows)
+
+
+# (estimator, kinship, lambdas): gls needs lambda > 0 on the adjacency kinship
+GLS_CONFIGS = [
+    ("lmm", "transmission", (0.0, 0.5)),
+    ("gls", "transmission", (0.0, 0.5)),
+    ("lmm", "adjacency", (0.0, 0.5)),
+    ("gls", "adjacency", (0.1, 0.5)),
+]
+
+
+@pytest.mark.parametrize("estimator,kinship,lambdas", GLS_CONFIGS)
+def test_gls_experiment_factor_reuse_matches_public_fits(estimator, kinship, lambdas):
+    # every replicate fits on its cell's shared factor; refitting each one
+    # from scratch with the public lmm_fit and gls gives the same bits
+    kappas, reps, seed, a, sigma = (1, 3), 4, 5, 0.7, 0.05
+    rep = run_gls_correction_experiment(NET, kappa_list=kappas, lambdas=lambdas,
+                                        reps=reps, seed=seed, a=a, sigma=sigma,
+                                        estimator=estimator, kinship=kinship)
+    z = float(stats.norm.ppf(0.975))
+    by_cell = {(rec["kappa"], rec["lambda"], rec["rep"]): rec for rec in rep.replicates}
+    for kappa in kappas:
+        cfg = TransmissionConfig(a=a, sigma=sigma, kappa=kappa)
+        base = (experiments._clipped_adjacency_kinship(NET) if kinship == "adjacency"
+                else transmission_covariance(NET, a, sigma, kappa))
+        for r in range(reps):
+            x = direct_transmission(NET, cfg, rng=experiments._rng(experiments._GLSEXP, seed, r, 0))
+            y = direct_transmission(NET, cfg, rng=experiments._rng(experiments._GLSEXP, seed, r, 1))
+            design = np.column_stack([np.ones(NET.n), x])
+            for lam in lambdas:
+                k = (1.0 - lam) * base + lam * np.diag(np.diag(base))
+                if estimator == "gls":
+                    fit = gls(y, design, k)
+                    lo, hi = float(fit.ci[1, 0]), float(fit.ci[1, 1])
+                else:
+                    fit = lmm_fit(y, design, k)
+                    slope, se = float(fit.beta[1]), float(fit.se[1])
+                    lo, hi = slope - z * se, slope + z * se
+                got = by_cell[kappa, lam, r]
+                assert (got["slope"], got["se"], got["covered"]) == (
+                    float(fit.beta[1]), float(fit.se[1]), int(lo <= 0.0 <= hi))
+
+
+@pytest.mark.parametrize("reps", [2, 7])
+@pytest.mark.parametrize("estimator,kinship,lambdas", GLS_CONFIGS)
+def test_gls_experiment_factors_each_cell_once(monkeypatch, estimator, kinship,
+                                               lambdas, reps):
+    calls = []
+    eigh, cho_factor = np.linalg.eigh, inference.cho_factor
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *args, **kw: calls.append("eigh") or eigh(*args, **kw))
+    monkeypatch.setattr(inference, "cho_factor",
+                        lambda *args, **kw: calls.append("cho") or cho_factor(*args, **kw))
+    kappas = (1, 2, 3)
+    run_gls_correction_experiment(NET, kappa_list=kappas, lambdas=lambdas, reps=reps,
+                                  seed=0, estimator=estimator, kinship=kinship,
+                                  threads=2)
+    cells = len(kappas) * len(lambdas)
+    clip = int(kinship == "adjacency")  # the one eigh that clips the adjacency
+    assert calls.count("eigh") == (cells if estimator == "lmm" else 0) + clip
+    assert calls.count("cho") == (cells if estimator == "gls" else 0)
 
 
 def test_correlation_distribution_default_settings():
