@@ -24,7 +24,7 @@ from .deptest import PermutationConfig, gearys_c, normal_test, permutation_test
 from .errors import DegenerateStatisticError, InputError, NetacorrError, NumericError
 from .experiments import _STUDIES, EXPERIMENT_NAMES, write_report
 from .graph import (
-    adjacency_weights,
+    _edge_weights,
     generate_random_network,
     inverse_geodesic_weights,
     load_edge_list,
@@ -414,7 +414,7 @@ def _experiment_network(args):
 
 def _weights_for(net, spec):
     if spec == "adjacency":
-        return adjacency_weights(net)
+        return _edge_weights(net)
     if spec == "inverse-geodesic":
         return inverse_geodesic_weights(net, gamma=1.0)
     if spec.startswith("inverse-geodesic:"):

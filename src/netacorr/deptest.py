@@ -3,6 +3,8 @@
 All statistics take a 1-D value array ``y`` and a non-negative weight
 matrix ``w`` with zero diagonal. ``w`` may be asymmetric; the weight total
 S0 = sum_ij (w_ij + w_ji) / 2 and the moment sums below handle that case.
+``w`` may be an array-like or a scipy sparse matrix or array; a sparse ``w``
+is converted once to CSR and stays sparse, so no n x n dense matrix is built.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import permutations
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy import sparse, stats
 
 from .errors import DegenerateStatisticError, InputError
 from .graph import _check_seed
@@ -98,8 +100,9 @@ def morans_i(y, w):
     ----------
     y : array-like, shape (n,)
         Node values, n >= 2, finite, not all equal.
-    w : array-like, shape (n, n)
+    w : array-like or scipy sparse matrix, shape (n, n)
         Non-negative weights, zero diagonal, at least one positive entry.
+        Explicitly stored zeros of a sparse w count as zero weights.
 
     Returns
     -------
@@ -123,8 +126,12 @@ def gearys_c(y, w):
     :func:`morans_i`.
     """
     y, w, d, ss, s0 = _validate(y, w)
-    diff2 = (d[:, None] - d[None, :]) ** 2
-    num = float((w * diff2).sum())
+    if sparse.issparse(w):
+        c = w.tocoo()
+        num = float((c.data * (d[c.row] - d[c.col]) ** 2).sum())
+    else:
+        diff2 = (d[:, None] - d[None, :]) ** 2
+        num = float((w * diff2).sum())
     return float((len(y) - 1) * num / (2.0 * s0 * ss))
 
 
@@ -146,6 +153,16 @@ def null_moments(y, w):
     n = len(y)
     if n < 4:
         raise InputError(f"null moments need n >= 4, got n={n}")
+    return _moments(d, w, ss, s0)
+
+
+def _moments(d, w, ss, s0):
+    """Randomization moments of I for validated centred values d (n >= 4).
+
+    The expressions serve dense and sparse w alike: for a scipy sparse array
+    ``** 2`` is element-wise and the axis sums are 1-D arrays.
+    """
+    n = len(d)
     s1 = float(0.5 * ((w + w.T) ** 2).sum())
     rows = w.sum(axis=1)
     cols = w.sum(axis=0)
@@ -203,7 +220,7 @@ def permutation_test(y, w, cfg=None):
 
     mom = i_std = p_normal = None
     if n >= 4:
-        mom = null_moments(y, w)
+        mom = _moments(d, w, ss, s0)
         i_std, p_normal = _normal_tail(i_obs, mom, cfg.alternative, n)
 
     sizes = [_CHUNK] * (cfg.m // _CHUNK)
@@ -259,7 +276,7 @@ def normal_test(y, w, alternative="greater"):
     if n < 4:
         raise InputError(f"normal test needs n >= 4, got n={n}")
     i_obs = _moran(d, w, s0, ss)
-    mom = null_moments(y, w)
+    mom = _moments(d, w, ss, s0)
     i_std, p_normal = _normal_tail(i_obs, mom, alternative, n)
     return MoranResult(
         i_stat=i_obs, n=n, s0=s0, moments=mom, i_std=i_std,
@@ -268,7 +285,11 @@ def normal_test(y, w, alternative="greater"):
 
 
 def _moran(d, w, s0, ss):
-    """Moran's I of centred values d with weight total s0 and sum of squares ss."""
+    """Moran's I of centred values d with weight total s0 and sum of squares ss.
+
+    ``d @ w`` takes the same route as the permutation kernel's ``dp @ w`` for
+    dense and sparse w alike, so exact inputs tie bitwise with permuted ones.
+    """
     return float(len(d) * (d @ w @ d) / (s0 * ss))
 
 
@@ -312,16 +333,25 @@ def _validate(y, w):
     if not np.all(np.isfinite(y)):
         bad = np.flatnonzero(~np.isfinite(y))
         raise InputError(f"y has non-finite values at positions {bad.tolist()}")
-    w = np.asarray(w, dtype=float)
+    is_sparse = sparse.issparse(w)
+    w = sparse.csr_array(w, dtype=float) if is_sparse else np.asarray(w, dtype=float)
     if w.shape != (n, n):
         raise InputError(f"w must be {n}x{n} to match y, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if is_sparse:
+        # Duplicate stored entries add up, as in the dense matrix they stand for.
+        if not w.has_canonical_format:
+            w = w.copy()
+            w.sum_duplicates()
+        entries, diag = w.data, w.diagonal()
+    else:
+        entries, diag = w, np.diagonal(w)
+    if not np.all(np.isfinite(entries)):
         raise InputError("w has non-finite entries")
-    if (w < 0).any():
+    if (entries < 0).any():
         raise InputError("w has negative entries")
-    if np.diagonal(w).any():
+    if diag.any():
         raise InputError("w must have a zero diagonal")
-    if not (w > 0).any():
+    if not (entries > 0).any():
         raise DegenerateStatisticError("all weights are zero (no ties between nodes)")
     d = y - y.mean()
     ss = float(d @ d)

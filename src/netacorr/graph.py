@@ -157,9 +157,14 @@ def adjacency_weights(net):
     Raises DegenerateStatisticError if the graph has no edges at all
     (every downstream statistic would divide by a zero weight total).
     """
+    return _edge_weights(net).toarray()
+
+
+def _edge_weights(net):
+    """The cached sparse adjacency of ``net``, refusing a graph with no edges."""
     if len(net.edges) == 0:
         raise DegenerateStatisticError("graph has no edges; all weights are zero")
-    return net.adjacency.toarray()
+    return net.adjacency
 
 
 def geodesic_distances(net):

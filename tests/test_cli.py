@@ -141,6 +141,64 @@ def test_cli_weights_spec(small_case, run_cli):
     assert code == 2
 
 
+def test_cli_adjacency_weights_match_the_dense_matrix(small_case, run_cli, tmp_path,
+                                                     monkeypatch):
+    # `--weights adjacency` hands deptest the cached sparse adjacency; the
+    # documents must match a run on the dense matrix. Only Geary's c sums in
+    # another order (over stored entries instead of all n^2 cells).
+    import netacorr.cli
+
+    _, labels, _, edges, values = small_case
+    rng = np.random.default_rng(5)
+    design = tmp_path / "design.csv"
+    _write_design(design, labels, {"x1": rng.standard_normal(40)})
+    runs = [("test", "--edges", edges, "--values", values, "--method", "both", "--geary",
+             "--permutations", "999", "--seed", "4"),
+            ("test", "--edges", edges, "--values", values, "--alternative", "two-sided",
+             "--threads", "3", "--permutations", "1100"),
+            ("residual-test", "--edges", edges, "--values", values, "--design", str(design),
+             "--method", "both", "--seed", "2")]
+    sparse_docs = [run_cli(*args) for args in runs]
+    monkeypatch.setattr(netacorr.cli, "_edge_weights", adjacency_weights)
+    dense_docs = [run_cli(*args) for args in runs]
+    for (code_s, out_s, err_s), (code_d, out_d, err_d) in zip(sparse_docs, dense_docs):
+        assert code_s == code_d == 0
+        assert err_s == err_d
+        doc_s, doc_d = json.loads(out_s), json.loads(out_d)
+        c_s = doc_s["result"].pop("gearys_c", None)
+        c_d = doc_d["result"].pop("gearys_c", None)
+        assert c_s == pytest.approx(c_d, rel=1e-12, abs=0)
+        assert doc_s == doc_d
+
+
+def test_cli_adjacency_test_stays_sparse_in_memory(run_cli, tmp_path):
+    # On a 6000-node ring the dense weight matrix alone would take 288 MB.
+    import tracemalloc
+
+    from netacorr import generate_random_network
+
+    n = 6000
+    net = generate_random_network(n, model="small-world", k=4, rewire_prob=0.0)
+    labels = [str(i) for i in range(n)]
+    edges, values = tmp_path / "edges.csv", tmp_path / "values.csv"
+    _write_edges(edges, net)
+    _write_values(values, labels, np.sin(np.arange(n) / 50.0))
+    tracemalloc.start()
+    try:
+        for extra in ((), ("--geary",)):
+            tracemalloc.reset_peak()
+            code, out, _ = run_cli("test", "--edges", edges, "--values", values,
+                                   "--method", "both", "--permutations", "100", *extra)
+            peak = tracemalloc.get_traced_memory()[1]
+            assert code == 0
+            assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.0f} MB with {extra}"
+    finally:
+        tracemalloc.stop()
+    doc = json.loads(out)
+    assert doc["result"]["p_perm"] == 1.0 / 101.0
+    assert doc["result"]["gearys_c"] < 0.01
+
+
 def test_cli_output_file(small_case, run_cli, tmp_path):
     _, _, _, edges, values = small_case
     out_path = tmp_path / "report.json"

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings, strategies as st
+from scipy import sparse, stats
 
 from netacorr import (
     DegenerateStatisticError,
@@ -402,3 +404,128 @@ def test_symmetrization_invariance_sample():
         assert abs(ma.var_i - mb.var_i) < 1e-12
         assert abs(ma.s1 - mb.s1) < 1e-9
         assert abs(ma.s2 - mb.s2) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# sparse weights: same results and same errors as the dense matrix
+# ---------------------------------------------------------------------------
+
+def _sparse_forms(w):
+    """Sparse twins of dense w: CSR; COO storing every entry as two halves
+    (explicit zeros on the diagonal, duplicates); unsummed CSR storing every
+    entry x as 2x and -x (negative stored entries that the duplicates cancel)."""
+    n = w.shape[0]
+    rows, cols = np.divmod(np.arange(2 * n * n) % (n * n), n)
+    halves = np.tile(w.ravel() / 2.0, 2)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(n + 1))
+    pairs = np.concatenate([2.0 * w.ravel(), -w.ravel()])
+    unsummed = sparse.csr_array((pairs[order], cols[order], indptr), shape=(n, n))
+    assert not unsummed.has_canonical_format
+    return [sparse.csr_array(w), sparse.coo_matrix((halves, (rows, cols)), shape=(n, n)),
+            unsummed]
+
+
+def _sparse_agrees(y, w, same, exact):
+    """Run every statistic on dense w and on each sparse twin; same(a, b)
+    compares two floats.
+
+    exact: the arithmetic is exact, so p_perm must match and the identity
+    relabelling must tie the observed I. Otherwise p_perm is compared only
+    for n >= 12, where m=600 draws almost never include the identity, whose
+    statistic equals I up to rounding that the two kernels do differently.
+    The sparse runs with threads 1 and 3 must always agree exactly.
+    """
+    n, m = len(y), 600
+    dense = {
+        "i": morans_i(y, w),
+        "c": gearys_c(y, w),
+        "mom": null_moments(y, w),
+        "norm": normal_test(y, w),
+        "perm": permutation_test(y, w, PermutationConfig(m=m, seed=3)),
+        "enum": enumerate_null(y, w) if n <= 7 else None,
+    }
+    perm_fields = ["i_stat", "s0", "i_std", "p_normal"]
+    if exact or n >= 12:
+        perm_fields.append("p_perm")
+    for ws in _sparse_forms(w):
+        before = ws.copy()
+        assert same(morans_i(y, ws), dense["i"])
+        assert same(gearys_c(y, ws), dense["c"])
+        mom = null_moments(y, ws)
+        for field in ("mean_i", "var_i", "s0", "s1", "s2", "b2"):
+            assert same(getattr(mom, field), getattr(dense["mom"], field)), field
+        norm = normal_test(y, ws)
+        for field in ("i_stat", "i_std", "p_normal"):
+            a, b = getattr(norm, field), getattr(dense["norm"], field)
+            assert (a is None and b is None) or same(a, b), field
+        runs = [permutation_test(y, ws, PermutationConfig(m=m, seed=3, threads=t)) for t in (1, 3)]
+        assert runs[0] == runs[1]
+        for field in perm_fields:
+            a, b = getattr(runs[0], field), getattr(dense["perm"], field)
+            assert (a is None and b is None) or same(a, b), field
+        if dense["enum"] is not None:
+            mean, var, vals = enumerate_null(y, ws)
+            assert same(mean, dense["enum"][0]) and same(var, dense["enum"][1])
+            assert all(same(a, b) for a, b in zip(vals, dense["enum"][2]))
+            if exact:
+                assert vals[0] == runs[0].i_stat  # itertools starts at the identity
+        assert (ws != before).nnz == 0  # the caller's matrix is left alone
+        if exact:
+            assert runs[0] == dense["perm"]
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 30))
+def test_sparse_weights_match_dense_asymmetric(seed, n):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 5.0, (n, n)) * (rng.random((n, n)) < 0.3)
+    np.fill_diagonal(w, 0.0)
+    w[0, 1] = 1.0
+    y = rng.standard_normal(n)
+
+    def close(a, b):
+        return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        _sparse_agrees(y, w, close, exact=False)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 30))
+def test_sparse_weights_tie_dense_bitwise_when_exact(seed, n):
+    # 0/1 weights and integer y with an integer mean keep every sum exact.
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n, p=float(rng.uniform(0.1, 0.6)))
+    y = rng.integers(-3, 4, n).astype(float)
+    y[-1] += -y.sum() % n
+    if np.ptp(y) == 0:
+        y[0] += n
+    w = adjacency_weights(net)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        _sparse_agrees(y, w, lambda a, b: a == b, exact=True)
+        cfg = PermutationConfig(m=600, seed=3)
+        assert permutation_test(y, net.adjacency, cfg) == permutation_test(y, w, cfg)
+
+
+@pytest.mark.parametrize("bad, y, error", [
+    (_adj(4, [(0, 1), (1, 2), (2, 3)]) - 0.5 * np.eye(4)[::-1], [1, 2, 3, 4], InputError),
+    (np.where(np.eye(4)[::-1] > 0, np.nan, _adj(4, [(0, 1), (1, 2), (2, 3)])), [1, 2, 3, 4],
+     InputError),
+    (_adj(4, [(0, 1), (1, 2), (2, 3)]) + np.diag([0, 0, 2.0, 0]), [1, 2, 3, 4], InputError),
+    (np.ones((2, 3)), [1, 2, 3, 4], InputError),
+    (np.zeros((4, 4)), [1, 2, 3, 4], DegenerateStatisticError),
+], ids=["negative", "nan", "diagonal", "shape", "all-zero"])
+def test_sparse_weights_fail_like_dense(bad, y, error):
+    r, c = np.indices(bad.shape).reshape(2, -1)  # COO twin stores zeros explicitly
+    twins = [sparse.csr_array(bad), sparse.coo_matrix((bad[r, c], (r, c)), shape=bad.shape)]
+    calls = [morans_i, gearys_c, null_moments, normal_test, enumerate_null,
+             lambda y, w: permutation_test(y, w, PermutationConfig(m=10))]
+    for call in calls:
+        with pytest.raises(error) as dense_exc:
+            call(y, bad)
+        for twin in twins:
+            with pytest.raises(error, match=f"^{re.escape(str(dense_exc.value))}$"):
+                call(y, twin)
