@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from ._version import __version__
+from ._version import SCHEMA_VERSION, __version__
 from .deptest import PermutationConfig, gearys_c, normal_test, permutation_test
 from .errors import DegenerateStatisticError, InputError, NetacorrError, NumericError
 from .experiments import _STUDIES, EXPERIMENT_NAMES, write_report
@@ -45,8 +45,6 @@ THREADS_ENV = "NETACORR_THREADS"
 # Significance thresholds are a reporting convention, not part of the test.
 _ALPHA_NOTE = ("note: a fixed significance threshold may not be appropriate "
                "for these tests; weigh the statistic itself, not only the p-value")
-
-_SCHEMA_VERSION = 1
 
 
 def main(argv=None):
@@ -137,7 +135,8 @@ def build_parser():
     p_exp.add_argument("--estimator", choices=["lmm", "gls"], default="lmm")
     p_exp.add_argument("--kinship", choices=["transmission", "adjacency"],
                        default="transmission")
-    p_exp.add_argument("--threads", type=_pos_int, default=None)
+    p_exp.add_argument("--threads", type=_pos_int, default=None,
+                       help=f"replicate worker threads (default ${THREADS_ENV} or 1)")
     p_exp.add_argument("--format", choices=["csv", "json"], default="csv")
     p_exp.add_argument("--out", default=".", help="output directory")
     p_exp.set_defaults(func=cmd_experiment)
@@ -173,7 +172,7 @@ def _add_stat_options(parser):
                         default="greater")
     parser.add_argument("--seed", type=_nonneg_int, default=0)
     parser.add_argument("--threads", type=_pos_int, default=None,
-                        help=f"worker threads (default ${THREADS_ENV} or 1)")
+                        help="accepted and ignored: the test runs serially")
 
 
 def _add_output_options(parser):
@@ -279,10 +278,9 @@ def cmd_generate_network(args):
 
 
 def _run_test(y, w, args):
-    threads = _threads_for(args)
     if args.method in ("perm", "both"):
         cfg = PermutationConfig(m=args.permutations, seed=args.seed,
-                                alternative=args.alternative, threads=threads)
+                                alternative=args.alternative)
         return permutation_test(y, w, cfg)
     return normal_test(y, w, alternative=args.alternative)
 
@@ -304,7 +302,7 @@ def _result_fields(res):
 
 def _document(command, options, payload):
     doc = {
-        "schema_version": _SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "tool": "netacorr",
         "version": __version__,
         "command": command,
@@ -323,7 +321,6 @@ def _echo_stat_options(args, **extra):
         "permutations": args.permutations if args.method in ("perm", "both") else None,
         "alternative": args.alternative,
         "seed": args.seed,
-        "threads": _threads_for(args),
         "format": args.format,
     }
     opts.update(extra)
@@ -430,7 +427,7 @@ def _weights_for(net, spec):
 
 
 def _threads_for(args):
-    if getattr(args, "threads", None) is not None:
+    if args.threads is not None:
         return args.threads
     env = os.environ.get(THREADS_ENV)
     if env:

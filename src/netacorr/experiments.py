@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._version import __version__
+from ._version import SCHEMA_VERSION, __version__
 from .deptest import PermutationConfig, permutation_test
 from .errors import BadCovarianceError, InputError
 from .graph import _check_seed, adjacency_weights
@@ -113,7 +113,7 @@ class ExperimentReport:
 
     def to_json_dict(self):
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "tool": "netacorr",
             "version": __version__,
             "name": self.name,
@@ -230,10 +230,9 @@ def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
             cfg = TransmissionConfig(a=a, sigma=sigma, kappa=kappa)
             y = direct_transmission(net, cfg, rng=_rng(_COVER, seed, r, 0))
             est = mean_ci_naive(y, level=level)
-            res = permutation_test(y, w, PermutationConfig(m=m, seed=test_seed))
             out.append((est.mean, est.se,
                         float(est.ci[0] <= 0.0 <= est.ci[1]),
-                        float(res.p_perm <= alpha)))
+                        _reject(y, w, m, test_seed, alpha)))
         return out
 
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
@@ -300,11 +299,8 @@ def _spurious_cells(x, y, w, m, sx, sy, sr, level, alpha):
     fit = ols(y, design, level=level)
     slope, se = float(fit.beta[1]), float(fit.se[1])
     covered = float(fit.ci[1, 0] <= 0.0 <= fit.ci[1, 1])
-    px = permutation_test(x, w, PermutationConfig(m=m, seed=sx)).p_perm
-    py = permutation_test(y, w, PermutationConfig(m=m, seed=sy)).p_perm
-    pr = permutation_test(fit.residuals, w, PermutationConfig(m=m, seed=sr)).p_perm
-    return (slope, se, covered,
-            float(px <= alpha), float(py <= alpha), float(pr <= alpha))
+    return (slope, se, covered, _reject(x, w, m, sx, alpha),
+            _reject(y, w, m, sy, alpha), _reject(fit.residuals, w, m, sr, alpha))
 
 
 def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
@@ -326,8 +322,7 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
     zdeg = standardized_degrees(net)
     rng_y = _rng(_DEGREE, seed, 0, 0)
     y = outcome_effect * zdeg + rng_y.standard_normal(n)
-    res_y = permutation_test(y, w, PermutationConfig(m=m, seed=_seed_int(_DEGREE, seed, 0, 1)))
-    reject_y = float(res_y.p_perm <= alpha)
+    reject_y = _reject(y, w, m, _seed_int(_DEGREE, seed, 0, 1), alpha)
 
     def one_rep(r):
         out = []
@@ -338,9 +333,9 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
             fit = ols(y, np.column_stack(cols), level=level)
             slope, se = float(fit.beta[1]), float(fit.se[1])
             covered = float(fit.ci[1, 0] <= 0.0 <= fit.ci[1, 1])
-            px = permutation_test(x, w, PermutationConfig(m=m, seed=_seed_int(_DEGREE, seed, r, 3))).p_perm
-            pr = permutation_test(fit.residuals, w, PermutationConfig(m=m, seed=_seed_int(_DEGREE, seed, r, 4))).p_perm
-            out.append((slope, se, covered, float(px <= alpha), float(pr <= alpha)))
+            out.append((slope, se, covered,
+                        _reject(x, w, m, _seed_int(_DEGREE, seed, r, 3), alpha),
+                        _reject(fit.residuals, w, m, _seed_int(_DEGREE, seed, r, 4), alpha)))
         return out
 
     config = {"n": net.n, "effect_sizes": list(effect_sizes),
@@ -433,6 +428,11 @@ _STUDIES = {
 }
 
 EXPERIMENT_NAMES = tuple(_STUDIES)
+
+
+def _reject(y, w, m, seed, alpha):
+    """1.0 if the m-permutation Moran test under seed rejects at alpha, else 0.0."""
+    return float(permutation_test(y, w, PermutationConfig(m=m, seed=seed)).p_perm <= alpha)
 
 
 def _run_study(name, one_rep, reps, seed, threads, config, cells, columns,

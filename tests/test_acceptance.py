@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from netacorr import (
-    PermutationConfig,
     adjacency_weights,
     enumerate_null,
     gearys_c,
@@ -21,7 +20,6 @@ from netacorr import (
     morans_i,
     normal_test,
     null_moments,
-    permutation_test,
 )
 from netacorr.experiments import (
     run_correlation_distribution,
@@ -223,10 +221,10 @@ def test_criterion_09_toy_and_correlation_distribution(capsys, er_net):
              f"small-error frac {small:.3f} >= 0.60 vs iid {iid:.3f} < 0.05")
 
 
-def test_criterion_10_invariance_suites(capsys):
+def test_criterion_10_invariance_suites(capsys, er_net):
     rng = np.random.default_rng(10)
     cases = 120
-    ok_affine = ok_scale = ok_sym = ok_par = True
+    ok_affine = ok_scale = ok_sym = True
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -262,13 +260,10 @@ def test_criterion_10_invariance_suites(capsys):
             if abs(null_moments(y, wa).var_i - null_moments(y, ws).var_i) >= 1e-10:
                 ok_sym = False
 
-            # determinism under parallelism: thread count never moves p
-            cfg1 = PermutationConfig(m=520 + c, seed=c, threads=1)
-            cfg4 = PermutationConfig(m=520 + c, seed=c, threads=4)
-            r1 = permutation_test(y, w, cfg1)
-            r4 = permutation_test(y, w, cfg4)
-            if r1.p_perm != r4.p_perm or r1.i_stat != r4.i_stat:
-                ok_par = False
+    # determinism under parallelism: the replicate thread count never moves a result
+    r1, r4 = (run_spurious_regression_experiment(er_net, reps=8, seed=0, m=520, threads=t)
+              for t in (1, THREADS))
+    ok_par = r1.rows == r4.rows and r1.replicates == r4.replicates
 
     ok = ok_affine and ok_scale and ok_sym and ok_par
     _verdict(capsys, 10, ok,

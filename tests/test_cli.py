@@ -66,7 +66,7 @@ def test_cli_test_json_document(small_case, run_cli):
     assert doc["command"] == "test"
     assert doc["options"]["method"] == "perm"
     assert doc["options"]["permutations"] == 200
-    assert doc["options"]["threads"] == 1
+    assert "threads" not in doc["options"]
     res = doc["result"]
     w = adjacency_weights(net)
     assert res["statistic"] == pytest.approx(morans_i(y, w), abs=1e-12)
@@ -274,6 +274,21 @@ def test_cli_constant_values_exit_code(small_case, run_cli, tmp_path):
     code, _, err = run_cli("test", "--edges", edges, "--values", str(flat))
     assert code == 3
     assert "zero-variance" in err
+
+
+def test_cli_numeric_error_exit_code(small_case, run_cli, monkeypatch):
+    import netacorr.cli
+    from netacorr import NumericError
+
+    def fail(args):
+        raise NumericError("weighted normal equations singular")
+
+    monkeypatch.setattr(netacorr.cli, "cmd_test", fail)
+    _, _, _, edges, values = small_case
+    code, out, err = run_cli("test", "--edges", edges, "--values", values)
+    assert code == 4
+    assert out == ""
+    assert err == "error: weighted normal equations singular\n"
 
 
 def test_cli_residual_test(small_case, run_cli, tmp_path):
@@ -502,28 +517,39 @@ def test_cli_experiment_json(run_cli, tmp_path):
     assert len(doc["rows"]) == 4
 
 
-def test_cli_threads_env(small_case, run_cli, monkeypatch):
+def test_cli_threads_env(small_case, run_cli, monkeypatch, tmp_path):
+    """NETACORR_THREADS sets the replicate threads of `experiment` only."""
     _, _, _, edges, values = small_case
+
+    def experiment(*extra):
+        code, out, err = run_cli("experiment", "correlation-distribution", "--edges", edges,
+                                 "--reps", "2", "--format", "json", "--out", str(tmp_path),
+                                 *extra)
+        if code != 0:
+            return code, None, err
+        with open(out.strip()) as fh:
+            return code, json.load(fh)["config"]["threads"], err
+
     monkeypatch.setenv("NETACORR_THREADS", "3")
-    code, out, _ = run_cli("test", "--edges", edges, "--values", values)
-    assert code == 0
-    assert json.loads(out)["options"]["threads"] == 3
+    assert experiment()[:2] == (0, 3)
 
     monkeypatch.setenv("NETACORR_THREADS", "zero")
-    code, _, err = run_cli("test", "--edges", edges, "--values", values)
+    code, _, err = experiment()
     assert code == 2
     assert "NETACORR_THREADS" in err
 
     monkeypatch.setenv("NETACORR_THREADS", "0")
-    code, _, _ = run_cli("test", "--edges", edges, "--values", values)
-    assert code == 2
+    assert experiment()[0] == 2
 
     # an explicit flag wins over the environment
     monkeypatch.setenv("NETACORR_THREADS", "3")
-    code, out, _ = run_cli("test", "--edges", edges, "--values", values,
-                           "--threads", "2")
+    assert experiment("--threads", "2")[:2] == (0, 2)
+
+    # test runs serially and never reads the variable
+    monkeypatch.setenv("NETACORR_THREADS", "zero")
+    code, out, _ = run_cli("test", "--edges", edges, "--values", values)
     assert code == 0
-    assert json.loads(out)["options"]["threads"] == 2
+    assert "threads" not in json.loads(out)["options"]
 
 
 def test_cli_version_and_bad_flags(run_cli):
