@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import SCHEMA_VERSION, __version__
-from .deptest import PermutationConfig, permutation_test
+from .deptest import PermutationConfig, _check_cfg, _rejects, _validate
 from .errors import BadCovarianceError, InputError
 from .graph import _check_seed, adjacency_weights
 from .inference import (
@@ -221,6 +221,7 @@ def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
     of the permutation dependence test on the same data.
     """
     _check_reps(reps, seed)
+    _check_tests(m, seed, alpha)
     w = adjacency_weights(net)
 
     def one_rep(r):
@@ -258,6 +259,7 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
     dependence test should reject at about the nominal rate.
     """
     _check_reps(reps, seed)
+    _check_tests(m, seed, alpha)
     if not kappa_list:
         raise InputError("kappa_list must not be empty")
     w = adjacency_weights(net)
@@ -317,6 +319,7 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
     (control_degree=True) restores centering and coverage.
     """
     _check_reps(reps, seed)
+    _check_tests(m, seed, alpha)
     w = adjacency_weights(net)
     n = net.n
     zdeg = standardized_degrees(net)
@@ -431,8 +434,13 @@ EXPERIMENT_NAMES = tuple(_STUDIES)
 
 
 def _reject(y, w, m, seed, alpha):
-    """1.0 if the m-permutation Moran test under seed rejects at alpha, else 0.0."""
-    return float(permutation_test(y, w, PermutationConfig(m=m, seed=seed)).p_perm <= alpha)
+    """1.0 if the m-permutation Moran test under seed rejects at alpha, else 0.0.
+
+    The bit is float(permutation_test(...).p_perm <= alpha) with the same m
+    and seed; the kernel stops drawing once that bit is fixed.
+    """
+    _, w, d, ss, s0 = _validate(y, w)
+    return float(_rejects(d, w, s0, ss, m, seed, alpha))
 
 
 def _run_study(name, one_rep, reps, seed, threads, config, cells, columns,
@@ -542,3 +550,10 @@ def _check_reps(reps, seed):
     if not isinstance(reps, int) or reps < 2:
         raise InputError(f"reps must be an integer >= 2, got {reps!r}")
     _check_seed(seed)
+
+
+def _check_tests(m, seed, alpha):
+    """Check a runner's test settings before it simulates anything."""
+    _check_cfg(PermutationConfig(m=m, seed=seed))
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must be in (0, 1), got {alpha!r}")

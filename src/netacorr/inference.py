@@ -196,6 +196,14 @@ def _lmm_core(y, x, factor):
     def negll(logd):
         return profile(math.exp(logd))[0]
 
+    # At delta = 0, s2 is the mean squared residual of the ML regression. One
+    # at the rounding level of y is noise: X fits y exactly.
+    core0, _, s2_0, _ = profile(0.0)
+    if not s2_0 > np.finfo(float).eps * float(yt @ yt) / n:
+        raise NumericError(
+            "residual variance at the rounding level of y; likelihood undefined "
+            "(is the model a perfect fit?)"
+        )
     grid = np.linspace(_LOGD_LO, _LOGD_HI, 9)
     cores = [negll(g) for g in grid]
     g_best = int(np.argmin(cores))
@@ -203,7 +211,7 @@ def _lmm_core(y, x, factor):
     hi = grid[min(len(grid) - 1, g_best + 1)]
     logd_opt = _golden_min(negll, float(lo), float(hi), _GOLDEN_TOL)
 
-    candidates = [(negll(logd_opt), math.exp(logd_opt)), (profile(0.0)[0], 0.0)]
+    candidates = [(negll(logd_opt), math.exp(logd_opt)), (core0, 0.0)]
     core_best, delta = min(candidates, key=lambda c: c[0])
     _, beta, s2, v = profile(delta)
 

@@ -291,6 +291,31 @@ def test_cli_numeric_error_exit_code(small_case, run_cli, monkeypatch):
     assert err == "error: weighted normal equations singular\n"
 
 
+def test_cli_lmm_perfect_fit_exit_code(run_cli, tmp_path):
+    # on a 4-cycle with a=1 and sigma=0, x and y each take one value per side
+    # of the bipartition, so [1, x] fits y up to rounding: exit 4, not a
+    # report with SE ~ 1e-12
+    edges = tmp_path / "cycle.csv"
+    edges.write_text("src,dst\n0,1\n1,2\n2,3\n3,0\n")
+    results = tmp_path / "results"
+    code, out, err = run_cli("experiment", "gls-correction", "--edges", str(edges),
+                             "--a", "1", "--sigma", "0", "--kappas", "1",
+                             "--lambdas", "0,0.5", "--reps", "20", "--out", str(results))
+    assert code == 4 and out == ""
+    assert "perfect fit" in err
+    assert not results.exists()
+
+
+def test_cli_experiment_bad_permutations_exit_code(run_cli, tmp_path):
+    results = tmp_path / "results"
+    for bad in ("0", "1.5"):
+        code, out, err = run_cli("experiment", "coverage", "--reps", "2",
+                                 "--permutations", bad, "--out", str(results))
+        assert code == 2 and out == ""
+        assert "--permutations" in err
+    assert not results.exists()
+
+
 def test_cli_residual_test(small_case, run_cli, tmp_path):
     net, labels, y, edges, values = small_case
     rng = np.random.default_rng(5)

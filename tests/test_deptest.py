@@ -24,6 +24,7 @@ from netacorr import (
     null_moments,
     permutation_test,
 )
+from netacorr import deptest
 
 from conftest import random_network
 
@@ -276,6 +277,58 @@ def test_detects_transmission_dependence(er_net):
     res = permutation_test(y, w, PermutationConfig(m=500, seed=0))
     assert res.p_perm == 1.0 / 501.0  # no permutation reaches the observed I
     assert res.i_std > 3.0
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 30),
+       m=st.one_of(st.integers(1, 120), st.sampled_from([511, 512, 513, 1030, 1100])),
+       level=st.sampled_from(["whole", "below-one-draw", "any"]),
+       values=st.sampled_from(["normal", "smoothed", "integer"]),
+       is_sparse=st.booleans(), data=st.data())
+def test_early_stop_reject_bit_equals_full_test(seed, n, m, level, values, is_sparse, data):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n, p=float(rng.uniform(0.1, 0.6)))
+    w = net.adjacency if is_sparse else adjacency_weights(net)
+    if values == "integer":  # exact sums: relabellings that tie I tie it bitwise
+        y = rng.integers(-3, 4, n).astype(float)
+        y[-1] += -y.sum() % n
+        y[0] += n * (np.ptp(y) == 0)
+    else:
+        y = rng.standard_normal(n)
+        if values == "smoothed":  # dependent values, so the test rejects often
+            y = y + 2.0 * (w @ y)
+    if level == "whole":  # alpha * (m + 1) is a whole number
+        alpha = data.draw(st.integers(0, m)) / (m + 1.0)
+    elif level == "below-one-draw":  # cap < 0: p_perm >= 1/(m+1) > alpha
+        alpha = data.draw(st.floats(0.0, 0.999)) / (m + 1.0)
+    else:
+        alpha = data.draw(st.floats(0.0, 1.0))
+    pseed = data.draw(st.integers(0, 2**63 - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        full = permutation_test(y, w, PermutationConfig(m=m, seed=pseed))
+    _, wv, d, ss, s0 = deptest._validate(y, w)
+    assert deptest._rejects(d, wv, s0, ss, m, pseed, alpha) == (full.p_perm <= alpha)
+    # rng.permuted draws a chunk row by row: 64-row blocks hold the same rows
+    blocks, chunks = (np.concatenate(list(deptest._null_blocks(d, wv, s0, ss, m, pseed, b)))
+                      for b in (deptest._BLOCK, deptest._CHUNK))
+    np.testing.assert_allclose(blocks, chunks, rtol=1e-12)
+
+
+def test_early_stop_cap_is_the_float_boundary(monkeypatch):
+    # every exceedance count h for every m <= 120, with alpha at the add-one
+    # p-value (1 + h) / (m + 1) and one ulp below it; a closed form for cap
+    # such as int(alpha * (m + 1)) - 1 gets some of these wrong
+    case = {}
+    monkeypatch.setattr(deptest, "_null_blocks", lambda *args: iter(
+        [np.r_[np.full(case["h"], np.inf), np.full(case["m"] - case["h"], -np.inf)]]))
+    d, w = np.array([-1.0, 0.0, 1.0]), _adj(3, [(0, 1), (1, 2)])
+    for m in range(1, 121):
+        for h in range(m + 1):
+            case.update(m=m, h=h)
+            p = (1.0 + h) / (m + 1.0)
+            for alpha in (p, np.nextafter(p, 0.0)):
+                assert deptest._rejects(d, w, 4.0, 2.0, m, 0, alpha) == (p <= alpha), (m, h)
 
 
 # ---------------------------------------------------------------------------

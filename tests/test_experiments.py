@@ -6,6 +6,8 @@ tests run small and fast and pin structure, reproducibility, and direction.
 
 import csv
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,14 +16,16 @@ from scipy import stats
 from netacorr import (
     BadCovarianceError,
     InputError,
+    PermutationConfig,
     TransmissionConfig,
     direct_transmission,
     generate_random_network,
     gls,
     lmm_fit,
+    permutation_test,
     transmission_covariance,
 )
-from netacorr import experiments, inference
+from netacorr import deptest, experiments, inference
 from netacorr.experiments import (
     DEFAULT_CORR_SETTINGS,
     run_correlation_distribution,
@@ -311,6 +315,76 @@ def test_experiment_rep_and_seed_validation():
         run_coverage_experiment(NET, reps=1, seed=0)
     with pytest.raises(InputError):
         run_coverage_experiment(NET, reps=10, seed=-3)
+
+
+# The studies that run permutation tests, with one small setting each.
+TESTING_STUDIES = {name: SMALL_STUDIES[name]
+                   for name in ("coverage", "spurious-regression", "degree-confounding")}
+
+
+@pytest.mark.parametrize("bad", [
+    {"m": 0}, {"m": 1.5}, {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": 2.0},
+    {"alpha": math.nan}, {"seed": -1},
+], ids=["m=0", "m=1.5", "alpha=0", "alpha=1", "alpha=2", "alpha=nan", "seed=-1"])
+@pytest.mark.parametrize("name", TESTING_STUDIES)
+def test_study_test_settings_fail_before_any_simulation(name, bad, monkeypatch):
+    def simulated(*args, **kwargs):
+        raise AssertionError("the study simulated before checking its arguments")
+
+    monkeypatch.setattr(experiments, "_rng", simulated)
+    monkeypatch.setattr(experiments, "adjacency_weights", simulated)
+    runner, kwargs = TESTING_STUDIES[name]
+    args = {**kwargs, "reps": 4, "seed": 0, **bad}
+    with pytest.raises(InputError, match=f"^{next(iter(bad))} "):
+        runner(NET, **args)
+
+
+def _full_reject(y, w, m, seed, alpha):
+    return float(permutation_test(y, w, PermutationConfig(m=m, seed=seed)).p_perm <= alpha)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("name", TESTING_STUDIES)
+def test_early_stop_reports_equal_full_permutation_tests(name, threads, monkeypatch):
+    # m = 520 spans two 512-row chunks; alpha 0.2 makes both bits common
+    runner, kwargs = TESTING_STUDIES[name]
+    args = {**kwargs, "reps": 12, "seed": 5, "m": 520, "alpha": 0.2, "threads": threads}
+    fast = runner(NET, **args)
+    monkeypatch.setattr(experiments, "_reject", _full_reject)
+    full = runner(NET, **args)
+    assert fast.rows == full.rows
+    assert fast.replicates == full.replicates
+    bits = {v for rec in fast.replicates for k, v in rec.items() if k.startswith("reject_")}
+    assert bits == {0, 1}  # the comparison sees rejections and acceptances
+
+
+def test_reject_stops_drawing_only_once_the_bit_is_fixed(monkeypatch):
+    drawn = []
+    rows = deptest._moran_rows
+    monkeypatch.setattr(deptest, "_moran_rows",
+                        lambda dp, *args: drawn.append(len(dp)) or rows(dp, *args))
+    w, m = experiments.adjacency_weights(NET), 500
+    iid = np.random.default_rng(3).standard_normal(NET.n)
+    assert experiments._reject(iid, w, m, 11, 0.05) == 0.0
+    assert 0 < sum(drawn) < m
+    drawn.clear()
+    dependent = direct_transmission(NET, TransmissionConfig(a=0.7, sigma=0.2, kappa=3, seed=1))
+    assert experiments._reject(dependent, w, m, 11, 0.05) == 1.0
+    assert sum(drawn) == m
+    drawn.clear()
+    # below 1 / (m + 1) no count rejects, so nothing is drawn
+    assert experiments._reject(dependent, w, m, 11, 0.5 / (m + 1)) == 0.0
+    assert drawn == []
+
+
+def test_studies_do_not_warn_about_the_normal_approximation():
+    # the studies read only the permutation decision, so the n < 30 warning
+    # of the normal approximation has nothing to warn about
+    small = generate_random_network(20, model="erdos-renyi", p=0.25, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for runner, kwargs in TESTING_STUDIES.values():
+            runner(small, reps=3, seed=0, **kwargs)
 
 
 def test_write_report_csv_round_trip(tmp_path):

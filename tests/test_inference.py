@@ -282,3 +282,17 @@ def test_lmm_perfect_fit_raises_numeric_error():
     y = x @ np.array([2.0, -1.0])  # zero residual everywhere
     with pytest.raises(NumericError):
         lmm_fit(y, x, np.eye(n))
+
+
+def test_lmm_fit_at_rounding_level_raises_numeric_error():
+    # residuals of a few ulps of y are rounding noise, not a variance: the
+    # guard is relative to y, so the fit fails instead of reporting SE ~ 0
+    rng = np.random.default_rng(24)
+    n = 12
+    x = _design(rng, n, 2)
+    y = x @ np.array([3.0, 1.5])
+    with pytest.raises(NumericError, match="rounding level"):
+        lmm_fit(y * (1.0 + 1e-15 * rng.standard_normal(n)), x, np.eye(n))
+    # the same design with genuine, if tiny, noise still fits
+    fit = lmm_fit(y + 1e-6 * rng.standard_normal(n), x, np.eye(n))
+    assert 0.0 < fit.se[1] < 1e-5
