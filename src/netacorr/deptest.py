@@ -205,7 +205,8 @@ def permutation_test(y, w, cfg=None):
     UserWarning recommends the permutation p-value instead.
 
     Returns a :class:`MoranResult`. Reproducible for a fixed cfg.seed: the
-    relabellings are drawn in fixed 512-row chunks, one child stream each.
+    relabellings come in fixed 512-row chunks, one child stream each, and
+    are scored 64 rows at a time.
     """
     if cfg is None:
         cfg = PermutationConfig()
@@ -220,7 +221,7 @@ def permutation_test(y, w, cfg=None):
         i_std, p_normal = _normal_tail(i_obs, mom, cfg.alternative, n)
 
     hi = lo = 0
-    for vals in _null_blocks(d, w, s0, ss, cfg.m, cfg.seed, _CHUNK):
+    for vals in _null_blocks(d, w, s0, ss, cfg.m, cfg.seed):
         hi += int((vals >= i_obs).sum())
         lo += int((vals <= i_obs).sum())
 
@@ -258,34 +259,30 @@ def _rejects(d, w, s0, ss, m, seed, alpha):
         return 0
     i_obs = _moran(d, w, s0, ss)
     hi = 0
-    for vals in _null_blocks(d, w, s0, ss, m, seed, _BLOCK):
+    for vals in _null_blocks(d, w, s0, ss, m, seed):
         hi += int((vals >= i_obs).sum())
         if hi > cap:
             return 0
     return 1
 
 
-def _null_blocks(d, w, s0, ss, m, seed, block):
-    """Moran's I of the m seeded relabellings of d, yielded block rows at a time.
+def _null_blocks(d, w, s0, ss, m, seed):
+    """Moran's I of the m seeded relabellings of d, yielded _BLOCK rows at a time.
 
     The relabellings come in fixed 512-row chunks, one SeedSequence child
     stream per chunk. ``rng.permuted`` shuffles one row after another, so a
-    chunk drawn in several blocks holds the same rows as a chunk drawn at
-    once; block (at most _CHUNK) changes only how many rows a step draws.
+    chunk drawn in 64-row blocks holds the same rows as a chunk drawn at
+    once; the block size sets only the working set of a step, which stays
+    in cache where a whole chunk at n=8000 (32 MB) does not.
     """
     n = len(d)
     sizes = [_CHUNK] * (m // _CHUNK) + [m % _CHUNK] * bool(m % _CHUNK)
     for size, stream in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
         rng = np.random.default_rng(stream)
-        for start in range(0, size, block):
-            rows = min(block, size - start)
+        for start in range(0, size, _BLOCK):
+            rows = min(_BLOCK, size - start)
             perms = rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
-            # Keep the gathered block bound until the step ends. Passed in as
-            # a temporary, it is freed inside the kernel, which measured about
-            # 200 more page faults and 8% more time per permutation_test call
-            # at n=200, m=500.
-            dp = d[perms]
-            yield _moran_rows(dp, w, s0, ss)
+            yield _moran_rows(d[perms], w, s0, ss)
 
 
 def normal_test(y, w, alternative="greater"):
@@ -313,8 +310,8 @@ def normal_test(y, w, alternative="greater"):
 def _moran(d, w, s0, ss):
     """Moran's I of centred values d with weight total s0 and sum of squares ss.
 
-    ``d @ w`` takes the same route as the permutation kernel's ``dp @ w`` for
-    dense and sparse w alike, so exact inputs tie bitwise with permuted ones.
+    For dense w, ``d @ w`` takes the same route as the permutation kernel's
+    ``dp @ w``, so exact inputs tie bitwise with permuted ones.
     """
     return float(len(d) * (d @ w @ d) / (s0 * ss))
 
@@ -322,11 +319,20 @@ def _moran(d, w, s0, ss):
 def _moran_rows(dp, w, s0, ss):
     """Moran's I of each row of dp, a stack of relabelled centred values.
 
-    The expression repeats :func:`_moran` term for term, so inputs where the
-    arithmetic is exact (small integer-valued y) tie bitwise with the
-    observed I.
+    For dense w the expression repeats :func:`_moran` term for term, so
+    inputs where the arithmetic is exact (small integer-valued y) tie
+    bitwise with the observed I. For sparse w it scores one C-ordered
+    (n, rows) copy of dp, which spares the transpose copy and mixed-order
+    product behind scipy's ``dp @ w``; its sums run in another order than
+    :func:`_moran`'s, so there only exact inputs tie bitwise.
     """
     n = dp.shape[1]
+    if sparse.issparse(w):
+        dpt = np.ascontiguousarray(dp.T)
+        # Free the row-major block before the product: holding it measured
+        # 40% slower per permutation_test call at n=8000.
+        del dp
+        return n * ((w.T @ dpt) * dpt).sum(axis=0) / (s0 * ss)
     return n * ((dp @ w) * dp).sum(axis=1) / (s0 * ss)
 
 
@@ -359,6 +365,18 @@ def _check_cfg(cfg):
 
 
 def _validate(y, w):
+    """Checked inputs of a statistic: (y, w, d, ss, s0).
+
+    The checks run in a fixed order, y's shape and values, then w, then the
+    spread of y, so an input with several faults always names the same one.
+    """
+    y = _check_y(y)
+    w, s0 = _check_w(w, len(y))
+    d, ss = _centre(y)
+    return y, w, d, ss, s0
+
+
+def _check_y(y):
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise InputError(f"y must be 1-D, got shape {y.shape}")
@@ -368,6 +386,11 @@ def _validate(y, w):
     if not np.all(np.isfinite(y)):
         bad = np.flatnonzero(~np.isfinite(y))
         raise InputError(f"y has non-finite values at positions {bad.tolist()}")
+    return y
+
+
+def _check_w(w, n):
+    """w as a float array or canonical CSR array, and its total S0."""
     is_sparse = sparse.issparse(w)
     w = sparse.csr_array(w, dtype=float) if is_sparse else np.asarray(w, dtype=float)
     if w.shape != (n, n):
@@ -388,8 +411,13 @@ def _validate(y, w):
         raise InputError("w must have a zero diagonal")
     if not (entries > 0).any():
         raise DegenerateStatisticError("all weights are zero (no ties between nodes)")
+    return w, float(w.sum())
+
+
+def _centre(y):
+    """Centred values d of a checked y and their sum of squares ss."""
     d = y - y.mean()
     ss = float(d @ d)
     if ss == 0.0:
         raise DegenerateStatisticError("zero-variance values: statistic undefined")
-    return y, w, d, ss, float(w.sum())
+    return d, ss

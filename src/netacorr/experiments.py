@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import SCHEMA_VERSION, __version__
-from .deptest import PermutationConfig, _check_cfg, _rejects, _validate
+from .deptest import PermutationConfig, _centre, _check_cfg, _check_w, _check_y, _rejects
 from .errors import BadCovarianceError, InputError
 from .graph import _check_seed, adjacency_weights
 from .inference import (
@@ -222,7 +222,7 @@ def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
     """
     _check_reps(reps, seed)
     _check_tests(m, seed, alpha)
-    w = adjacency_weights(net)
+    w, s0 = _check_w(adjacency_weights(net), net.n)
 
     def one_rep(r):
         test_seed = _seed_int(_COVER, seed, r, 1)
@@ -233,7 +233,7 @@ def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
             est = mean_ci_naive(y, level=level)
             out.append((est.mean, est.se,
                         float(est.ci[0] <= 0.0 <= est.ci[1]),
-                        _reject(y, w, m, test_seed, alpha)))
+                        _reject(y, w, s0, m, test_seed, alpha)))
         return out
 
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
@@ -262,7 +262,7 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
     _check_tests(m, seed, alpha)
     if not kappa_list:
         raise InputError("kappa_list must not be empty")
-    w = adjacency_weights(net)
+    w, s0 = _check_w(adjacency_weights(net), net.n)
     n = net.n
     kmax = max(kappa_list)
     labels = list(kappa_list) + (["permuted"] if include_permuted_baseline else [])
@@ -277,11 +277,11 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
             y = direct_transmission(net, cfgx, rng=_rng(_SPUR, seed, r, 1))
             if kappa == kmax:
                 xk, yk = x, y
-            out.append(_spurious_cells(x, y, w, m, seeds[2], seeds[3], seeds[4],
+            out.append(_spurious_cells(x, y, w, s0, m, seeds[2], seeds[3], seeds[4],
                                        level, alpha))
         if include_permuted_baseline:
             perm = _rng(_SPUR, seed, r, 5).permutation(n)
-            out.append(_spurious_cells(xk, yk[perm], w, m, seeds[6], seeds[7],
+            out.append(_spurious_cells(xk, yk[perm], w, s0, m, seeds[6], seeds[7],
                                        seeds[8], level, alpha))
         return out
 
@@ -296,13 +296,13 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
                                           "reject_resid"))
 
 
-def _spurious_cells(x, y, w, m, sx, sy, sr, level, alpha):
+def _spurious_cells(x, y, w, s0, m, sx, sy, sr, level, alpha):
     design = np.column_stack([np.ones(len(x)), x])
     fit = ols(y, design, level=level)
     slope, se = float(fit.beta[1]), float(fit.se[1])
     covered = float(fit.ci[1, 0] <= 0.0 <= fit.ci[1, 1])
-    return (slope, se, covered, _reject(x, w, m, sx, alpha),
-            _reject(y, w, m, sy, alpha), _reject(fit.residuals, w, m, sr, alpha))
+    return (slope, se, covered, _reject(x, w, s0, m, sx, alpha),
+            _reject(y, w, s0, m, sy, alpha), _reject(fit.residuals, w, s0, m, sr, alpha))
 
 
 def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
@@ -320,12 +320,12 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
     """
     _check_reps(reps, seed)
     _check_tests(m, seed, alpha)
-    w = adjacency_weights(net)
+    w, s0 = _check_w(adjacency_weights(net), net.n)
     n = net.n
     zdeg = standardized_degrees(net)
     rng_y = _rng(_DEGREE, seed, 0, 0)
     y = outcome_effect * zdeg + rng_y.standard_normal(n)
-    reject_y = _reject(y, w, m, _seed_int(_DEGREE, seed, 0, 1), alpha)
+    reject_y = _reject(y, w, s0, m, _seed_int(_DEGREE, seed, 0, 1), alpha)
 
     def one_rep(r):
         out = []
@@ -337,8 +337,8 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
             slope, se = float(fit.beta[1]), float(fit.se[1])
             covered = float(fit.ci[1, 0] <= 0.0 <= fit.ci[1, 1])
             out.append((slope, se, covered,
-                        _reject(x, w, m, _seed_int(_DEGREE, seed, r, 3), alpha),
-                        _reject(fit.residuals, w, m, _seed_int(_DEGREE, seed, r, 4), alpha)))
+                        _reject(x, w, s0, m, _seed_int(_DEGREE, seed, r, 3), alpha),
+                        _reject(fit.residuals, w, s0, m, _seed_int(_DEGREE, seed, r, 4), alpha)))
         return out
 
     config = {"n": net.n, "effect_sizes": list(effect_sizes),
@@ -433,13 +433,14 @@ _STUDIES = {
 EXPERIMENT_NAMES = tuple(_STUDIES)
 
 
-def _reject(y, w, m, seed, alpha):
+def _reject(y, w, s0, m, seed, alpha):
     """1.0 if the m-permutation Moran test under seed rejects at alpha, else 0.0.
 
-    The bit is float(permutation_test(...).p_perm <= alpha) with the same m
-    and seed; the kernel stops drawing once that bit is fixed.
+    w and its total s0 come from deptest._check_w, once per study run. The
+    bit is float(permutation_test(...).p_perm <= alpha) with the same m and
+    seed; the kernel stops drawing once that bit is fixed.
     """
-    _, w, d, ss, s0 = _validate(y, w)
+    d, ss = _centre(_check_y(y))
     return float(_rejects(d, w, s0, ss, m, seed, alpha))
 
 

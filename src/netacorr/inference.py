@@ -267,10 +267,20 @@ def _check_design(y, x):
     if n <= p:
         raise InputError(f"need more observations than parameters, got n={n}, p={p}")
     if np.linalg.matrix_rank(x) < p:
-        raise SingularDesignError(
-            f"design matrix is rank deficient (rank < {p}); drop collinear columns"
-        )
+        raise SingularDesignError(_rank_message(x, p))
     return y, x, n, p
+
+
+def _rank_message(x, p):
+    """Why x failed the rank test: collinear columns, or column scales so far
+    apart that the relative rank tolerance drops the smallest column."""
+    norms = np.abs(x).max(axis=0)  # max-norms: a 2-norm near 1e154 overflows
+    spread = norms.max() / norms.min() if norms.min() > 0 else 0.0
+    if spread > 1.0 / np.finfo(float).eps:
+        return (f"design matrix is rank deficient (rank < {p}): its largest column "
+                f"(max |entry|) is {spread:.3g} times its smallest, beyond 1/eps, so "
+                f"the rank test cannot see the smaller columns; rescale the columns")
+    return f"design matrix is rank deficient (rank < {p}); drop collinear columns"
 
 
 def _check_covariance(m, n, name):

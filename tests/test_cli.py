@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -369,7 +370,22 @@ def test_cli_residual_test_collinear_design_exit_code(small_case, run_cli, tmp_p
     code, _, err = run_cli("residual-test", "--edges", edges, "--values", values,
                            "--design", str(design))
     assert code == 2
-    assert "rank deficient" in err
+    assert "rank deficient" in err and "drop collinear columns" in err
+
+
+def test_cli_experiment_scale_driven_rank_failure_exit_code(run_cli, tmp_path):
+    # sigma = 1e154 makes the covariate about 1e154 times the intercept; the
+    # columns are not collinear, but the relative rank tolerance drops the
+    # intercept, so the error names the scale gap and suggests rescaling
+    results = tmp_path / "results"
+    code, out, err = run_cli("experiment", "gls-correction", "--kinship", "adjacency",
+                             "--sigma", "1e154", "--n", "30", "--reps", "2",
+                             "--out", str(results))
+    assert code == 2 and out == ""
+    assert "rank deficient" in err and "collinear" not in err
+    assert re.search(r"is \d\.\d+e\+15\d times its smallest, beyond 1/eps", err)
+    assert "rescale the columns" in err
+    assert not results.exists()
 
 
 def test_cli_experiment_gls_adjacency_kinship_exit_code(run_cli, tmp_path):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -202,6 +203,56 @@ def test_permutation_stream_is_replicable_across_chunks():
     assert res.p_perm == (1 + hi) / (1030 + 1)
 
 
+def _whole_chunks(d, m, seed):
+    """The relabelled d of a seeded permutation test, one whole chunk at a time.
+
+    Chunks of 512 rows (the last one shorter), one SeedSequence child each.
+    """
+    n = len(d)
+    sizes = [512] * (m // 512) + [m % 512] * bool(m % 512)
+    for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        gen = np.random.default_rng(child)
+        yield d[gen.permuted(np.tile(np.arange(n), (size, 1)), axis=1)]
+
+
+def test_sparse_permutation_stream_is_replicable_across_chunks():
+    # the sparse kernel scores C-ordered column blocks; the statistics it
+    # yields are those of the dense expression on whole 512-row chunks
+    rng = np.random.default_rng(17)
+    net = random_network(rng, 40, p=0.12)
+    w = adjacency_weights(net)
+    y = rng.standard_normal(40)
+    res = permutation_test(y, net.adjacency, PermutationConfig(m=1030, seed=4))
+
+    d = y - y.mean()
+    ss = float(d @ d)
+    s0 = float(w.sum())
+    i_obs = 40 * (d @ w @ d) / (s0 * ss)
+    dense = np.concatenate([40 * ((dp @ w) * dp).sum(axis=1) / (s0 * ss)
+                            for dp in _whole_chunks(d, 1030, 4)])
+    assert len(dense) == 1030
+    assert res.p_perm == (1 + int((dense >= i_obs).sum())) / (1030 + 1)
+    _, wv, d, ss, s0 = deptest._validate(y, net.adjacency)
+    assert sparse.issparse(wv)
+    drawn = np.concatenate(list(deptest._null_blocks(d, wv, s0, ss, 1030, 4)))
+    np.testing.assert_allclose(drawn, dense, rtol=1e-12, atol=0)
+
+
+def test_sparse_permutation_test_memory_stays_block_sized():
+    # 64-row blocks bound the working set: on a 20000-node ring, 512-row
+    # chunks peaked at 313 MB, 64-row blocks at 29 MB
+    net = generate_random_network(20000, model="small-world", k=4, rewire_prob=0.0)
+    y = np.random.default_rng(1).standard_normal(net.n)
+    tracemalloc.start()
+    try:
+        res = permutation_test(y, net.adjacency, PermutationConfig(m=600, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.m_used == 600
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_permutation_deterministic_and_seed_sensitive():
     rng = np.random.default_rng(8)
     net = random_network(rng, 35, p=0.15)
@@ -310,8 +361,10 @@ def test_early_stop_reject_bit_equals_full_test(seed, n, m, level, values, is_sp
     _, wv, d, ss, s0 = deptest._validate(y, w)
     assert deptest._rejects(d, wv, s0, ss, m, pseed, alpha) == (full.p_perm <= alpha)
     # rng.permuted draws a chunk row by row: 64-row blocks hold the same rows
-    blocks, chunks = (np.concatenate(list(deptest._null_blocks(d, wv, s0, ss, m, pseed, b)))
-                      for b in (deptest._BLOCK, deptest._CHUNK))
+    # as whole 512-row chunks scored at once
+    blocks = np.concatenate(list(deptest._null_blocks(d, wv, s0, ss, m, pseed)))
+    chunks = np.concatenate([deptest._moran_rows(dp, wv, s0, ss)
+                             for dp in _whole_chunks(d, m, pseed)])
     np.testing.assert_allclose(blocks, chunks, rtol=1e-12)
 
 
@@ -554,7 +607,9 @@ def test_sparse_weights_tie_dense_bitwise_when_exact(seed, n):
     (_adj(4, [(0, 1), (1, 2), (2, 3)]) + np.diag([0, 0, 2.0, 0]), [1, 2, 3, 4], InputError),
     (np.ones((2, 3)), [1, 2, 3, 4], InputError),
     (np.zeros((4, 4)), [1, 2, 3, 4], DegenerateStatisticError),
-], ids=["negative", "nan", "diagonal", "shape", "all-zero"])
+    # a fault of w is named before the zero spread of y
+    (_adj(4, [(0, 1), (1, 2), (2, 3)]) - 0.5 * np.eye(4)[::-1], [2, 2, 2, 2], InputError),
+], ids=["negative", "nan", "diagonal", "shape", "all-zero", "negative-flat-y"])
 def test_sparse_weights_fail_like_dense(bad, y, error):
     r, c = np.indices(bad.shape).reshape(2, -1)  # COO twin stores zeros explicitly
     twins = [sparse.csr_array(bad), sparse.coo_matrix((bad[r, c], (r, c)), shape=bad.shape)]

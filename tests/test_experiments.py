@@ -339,7 +339,7 @@ def test_study_test_settings_fail_before_any_simulation(name, bad, monkeypatch):
         runner(NET, **args)
 
 
-def _full_reject(y, w, m, seed, alpha):
+def _full_reject(y, w, s0, m, seed, alpha):
     return float(permutation_test(y, w, PermutationConfig(m=m, seed=seed)).p_perm <= alpha)
 
 
@@ -364,16 +364,17 @@ def test_reject_stops_drawing_only_once_the_bit_is_fixed(monkeypatch):
     monkeypatch.setattr(deptest, "_moran_rows",
                         lambda dp, *args: drawn.append(len(dp)) or rows(dp, *args))
     w, m = experiments.adjacency_weights(NET), 500
+    s0 = float(w.sum())
     iid = np.random.default_rng(3).standard_normal(NET.n)
-    assert experiments._reject(iid, w, m, 11, 0.05) == 0.0
+    assert experiments._reject(iid, w, s0, m, 11, 0.05) == 0.0
     assert 0 < sum(drawn) < m
     drawn.clear()
     dependent = direct_transmission(NET, TransmissionConfig(a=0.7, sigma=0.2, kappa=3, seed=1))
-    assert experiments._reject(dependent, w, m, 11, 0.05) == 1.0
+    assert experiments._reject(dependent, w, s0, m, 11, 0.05) == 1.0
     assert sum(drawn) == m
     drawn.clear()
     # below 1 / (m + 1) no count rejects, so nothing is drawn
-    assert experiments._reject(dependent, w, m, 11, 0.5 / (m + 1)) == 0.0
+    assert experiments._reject(dependent, w, s0, m, 11, 0.5 / (m + 1)) == 0.0
     assert drawn == []
 
 
