@@ -21,7 +21,7 @@ import numpy as np
 
 from ._version import SCHEMA_VERSION, __version__
 from .deptest import PermutationConfig, gearys_c, normal_test, permutation_test
-from .errors import DegenerateStatisticError, InputError, NetacorrError, NumericError
+from .errors import InputError, NetacorrError
 from .experiments import _STUDIES, EXPERIMENT_NAMES, write_report
 from .graph import (
     _edge_weights,
@@ -52,18 +52,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except NetacorrError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegenerateStatisticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NetacorrError as exc:  # future subclasses without a specific code
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
 
 
 def build_parser():

@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse, stats
 
-from .errors import DegenerateStatisticError, InputError
-from .graph import _check_seed
+from .errors import DegenerateStatisticError, InputError, _check_y, _choice, _count
 
 __all__ = [
     "NullMoments",
@@ -37,6 +36,7 @@ _SMALL_N_NORMAL = 30
 _ENUM_CAP = 8
 _CHUNK = 512
 _BLOCK = 64
+_ALTERNATIVES = ("greater", "two-sided")
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,8 @@ def permutation_test(y, w, cfg=None):
     """
     if cfg is None:
         cfg = PermutationConfig()
-    _check_cfg(cfg)
+    m, seed = _count("m", cfg.m, 1), _count("seed", cfg.seed, 0)
+    alternative = _choice("alternative", cfg.alternative, _ALTERNATIVES)
     y, w, d, ss, s0 = _validate(y, w)
     n = len(y)
     i_obs = _moran(d, w, s0, ss)
@@ -218,24 +219,24 @@ def permutation_test(y, w, cfg=None):
     mom = i_std = p_normal = None
     if n >= 4:
         mom = _moments(d, w, ss, s0)
-        i_std, p_normal = _normal_tail(i_obs, mom, cfg.alternative, n)
+        i_std, p_normal = _normal_tail(i_obs, mom, alternative, n)
 
     hi = lo = 0
-    for vals in _null_blocks(d, w, s0, ss, cfg.m, cfg.seed):
+    for vals in _null_blocks(d, w, s0, ss, m, seed):
         hi += int((vals >= i_obs).sum())
         lo += int((vals <= i_obs).sum())
 
-    p_upper = (1.0 + hi) / (cfg.m + 1.0)
-    if cfg.alternative == "greater":
+    p_upper = (1.0 + hi) / (m + 1.0)
+    if alternative == "greater":
         p_perm = p_upper
     else:
-        p_lower = (1.0 + lo) / (cfg.m + 1.0)
+        p_lower = (1.0 + lo) / (m + 1.0)
         p_perm = min(1.0, 2.0 * min(p_upper, p_lower))
 
     return MoranResult(
         i_stat=i_obs, n=n, s0=s0, moments=mom, i_std=i_std,
-        p_normal=p_normal, p_perm=float(p_perm), m_used=cfg.m,
-        alternative=cfg.alternative,
+        p_normal=p_normal, p_perm=float(p_perm), m_used=m,
+        alternative=alternative,
     )
 
 
@@ -292,8 +293,7 @@ def normal_test(y, w, alternative="greater"):
     normal distribution. Requires n >= 4; warns for n < 30 where the
     approximation is poor.
     """
-    if alternative not in ("greater", "two-sided"):
-        raise InputError(f"alternative must be 'greater' or 'two-sided', got {alternative!r}")
+    _choice("alternative", alternative, _ALTERNATIVES)
     y, w, d, ss, s0 = _validate(y, w)
     n = len(y)
     if n < 4:
@@ -354,16 +354,6 @@ def _normal_tail(i_obs, mom, alternative, n):
     return float(i_std), p
 
 
-def _check_cfg(cfg):
-    if not isinstance(cfg.m, int) or cfg.m < 1:
-        raise InputError(f"m must be a positive integer, got {cfg.m!r}")
-    _check_seed(cfg.seed)
-    if cfg.alternative not in ("greater", "two-sided"):
-        raise InputError(
-            f"alternative must be 'greater' or 'two-sided', got {cfg.alternative!r}"
-        )
-
-
 def _validate(y, w):
     """Checked inputs of a statistic: (y, w, d, ss, s0).
 
@@ -374,19 +364,6 @@ def _validate(y, w):
     w, s0 = _check_w(w, len(y))
     d, ss = _centre(y)
     return y, w, d, ss, s0
-
-
-def _check_y(y):
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise InputError(f"y must be 1-D, got shape {y.shape}")
-    n = y.shape[0]
-    if n < 2:
-        raise InputError(f"need at least 2 nodes, got n={n}")
-    if not np.all(np.isfinite(y)):
-        bad = np.flatnonzero(~np.isfinite(y))
-        raise InputError(f"y has non-finite values at positions {bad.tolist()}")
-    return y
 
 
 def _check_w(w, n):

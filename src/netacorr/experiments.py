@@ -36,12 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import SCHEMA_VERSION, __version__
-from .deptest import PermutationConfig, _centre, _check_cfg, _check_w, _check_y, _rejects
-from .errors import BadCovarianceError, InputError
-from .graph import _check_seed, adjacency_weights
+from .deptest import _centre, _check_w, _rejects
+from .errors import BadCovarianceError, InputError, _check_y, _choice, _count, _real
+from .graph import adjacency_weights
 from .inference import (
     _check_design,
-    _check_level,
     _gls_core,
     _gls_factor,
     _lmm_core,
@@ -134,6 +133,7 @@ def write_report(report, directory, fmt="csv"):
     """
     import os
 
+    _choice("fmt", fmt, ("csv", "json"))
     os.makedirs(directory, exist_ok=True)
     base = report.name
     if fmt == "csv":
@@ -143,13 +143,11 @@ def write_report(report, directory, fmt="csv"):
             _write_rows_csv(path, rows)
             paths.append(path)
         return paths
-    if fmt == "json":
-        path = os.path.join(directory, f"{base}_report.json")
-        with open(path, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=False)
-            fh.write("\n")
-        return [path]
-    raise InputError(f"unknown report format {fmt!r}; choose csv or json")
+    path = os.path.join(directory, f"{base}_report.json")
+    with open(path, "w") as fh:
+        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=False)
+        fh.write("\n")
+    return [path]
 
 
 def _write_rows_csv(path, rows):
@@ -176,7 +174,7 @@ def run_correlation_distribution(net, settings=None, reps=500, seed=0, threads=1
     (each becomes a=0.9, kappa=10 transmission), or (label, cfg) pairs
     with cfg a TransmissionConfig or None for the iid baseline.
     """
-    _check_reps(reps, seed)
+    reps, seed = _count("reps", reps, 2), _count("seed", seed, 0)
     labelled = _corr_settings(settings)
     n = net.n
 
@@ -220,15 +218,17 @@ def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
     mean and coverage decays with kappa. Also records the rejection rate
     of the permutation dependence test on the same data.
     """
-    _check_reps(reps, seed)
-    _check_tests(m, seed, alpha)
+    reps, seed, m = _count("reps", reps, 2), _count("seed", seed, 0), _count("m", m, 1)
+    _real("alpha", alpha, 0, 1, strict=True)
+    _real("level", level, 0, 1, strict=True)
+    cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked() for k in kappa_list]
+    kappa_list = [cfg.kappa for cfg in cfgs]
     w, s0 = _check_w(adjacency_weights(net), net.n)
 
     def one_rep(r):
         test_seed = _seed_int(_COVER, seed, r, 1)
         out = []
-        for kappa in kappa_list:
-            cfg = TransmissionConfig(a=a, sigma=sigma, kappa=kappa)
+        for cfg in cfgs:
             y = direct_transmission(net, cfg, rng=_rng(_COVER, seed, r, 0))
             est = mean_ci_naive(y, level=level)
             out.append((est.mean, est.se,
@@ -258,10 +258,13 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
     the network alignment and restores honest behaviour; its residual
     dependence test should reject at about the nominal rate.
     """
-    _check_reps(reps, seed)
-    _check_tests(m, seed, alpha)
+    reps, seed, m = _count("reps", reps, 2), _count("seed", seed, 0), _count("m", m, 1)
+    _real("alpha", alpha, 0, 1, strict=True)
+    _real("level", level, 0, 1, strict=True)
     if not kappa_list:
         raise InputError("kappa_list must not be empty")
+    cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked() for k in kappa_list]
+    kappa_list = [cfg.kappa for cfg in cfgs]
     w, s0 = _check_w(adjacency_weights(net), net.n)
     n = net.n
     kmax = max(kappa_list)
@@ -271,11 +274,10 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
         seeds = {tag: _seed_int(_SPUR, seed, r, tag) for tag in (2, 3, 4, 6, 7, 8)}
         out = []
         xk = yk = None
-        for kappa in kappa_list:
-            cfgx = TransmissionConfig(a=a, sigma=sigma, kappa=kappa)
-            x = direct_transmission(net, cfgx, rng=_rng(_SPUR, seed, r, 0))
-            y = direct_transmission(net, cfgx, rng=_rng(_SPUR, seed, r, 1))
-            if kappa == kmax:
+        for cfg in cfgs:
+            x = direct_transmission(net, cfg, rng=_rng(_SPUR, seed, r, 0))
+            y = direct_transmission(net, cfg, rng=_rng(_SPUR, seed, r, 1))
+            if cfg.kappa == kmax:
                 xk, yk = x, y
             out.append(_spurious_cells(x, y, w, s0, m, seeds[2], seeds[3], seeds[4],
                                        level, alpha))
@@ -318,8 +320,11 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
     classic omitted-variable displacement, while adding zdeg to the design
     (control_degree=True) restores centering and coverage.
     """
-    _check_reps(reps, seed)
-    _check_tests(m, seed, alpha)
+    reps, seed, m = _count("reps", reps, 2), _count("seed", seed, 0), _count("m", m, 1)
+    _real("alpha", alpha, 0, 1, strict=True)
+    _real("level", level, 0, 1, strict=True)
+    _real("outcome_effect", outcome_effect)
+    cfgs = [ConfoundConfig(b=b, noise=noise)._checked() for b in effect_sizes]
     w, s0 = _check_w(adjacency_weights(net), net.n)
     n = net.n
     zdeg = standardized_degrees(net)
@@ -329,8 +334,7 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
 
     def one_rep(r):
         out = []
-        for b in effect_sizes:
-            cfg = ConfoundConfig(b=b, noise=noise)
+        for cfg in cfgs:
             x = degree_confounded_covariate(net, cfg, rng=_rng(_DEGREE, seed, r, 2))
             cols = [np.ones(n), x] + ([zdeg] if control_degree else [])
             fit = ols(y, np.column_stack(cols), level=level)
@@ -375,15 +379,14 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
     no exactness guarantee; that matrix is singular, so gls with it needs
     every lambda > 0.
     """
-    _check_reps(reps, seed)
-    if estimator not in ("lmm", "gls"):
-        raise InputError(f"estimator must be 'lmm' or 'gls', got {estimator!r}")
-    if kinship not in ("transmission", "adjacency"):
-        raise InputError(f"kinship must be 'transmission' or 'adjacency', got {kinship!r}")
+    reps, seed = _count("reps", reps, 2), _count("seed", seed, 0)
+    _choice("estimator", estimator, ("lmm", "gls"))
+    _choice("kinship", kinship, ("transmission", "adjacency"))
     for lam in lambdas:
-        if not (0.0 <= lam <= 1.0):
-            raise InputError(f"lambda values must be in [0, 1], got {lam!r}")
-    _check_level(level)
+        _real("lambda", lam, 0, 1)
+    _real("level", level, 0, 1, strict=True)
+    cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked() for k in kappa_list]
+    kappa_list = [cfg.kappa for cfg in cfgs]
     n = net.n
     core = _lmm_core if estimator == "lmm" else _gls_core
     # K depends on the cell, never on the replicate: factor it once per cell.
@@ -392,13 +395,12 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
 
     def one_rep(r):
         out = []
-        for kappa in kappa_list:
-            cfg = TransmissionConfig(a=a, sigma=sigma, kappa=kappa)
+        for cfg in cfgs:
             x = direct_transmission(net, cfg, rng=_rng(_GLSEXP, seed, r, 0))
             y = direct_transmission(net, cfg, rng=_rng(_GLSEXP, seed, r, 1))
             y, design, _, _ = _check_design(y, np.column_stack([np.ones(n), x]))
             for lam in lambdas:
-                fit = core(y, design, factors[kappa, lam])
+                fit = core(y, design, factors[cfg.kappa, lam])
                 beta, se = (fit.beta, fit.se) if estimator == "lmm" else fit[:2]
                 slope, se = float(beta[1]), float(se[1])
                 out.append((slope, se, float(slope - z * se <= 0.0 <= slope + z * se)))
@@ -516,13 +518,10 @@ def _corr_settings(settings):
                 raise InputError(f"setting {label!r} must map to a TransmissionConfig or None")
             if cfg is None and label == "iid":
                 continue  # baseline is always present
-            out.append((str(label), cfg))
-        elif isinstance(s, (int, float)) and not isinstance(s, bool):
-            if s < 0:
-                raise InputError(f"sigma must be >= 0, got {s!r}")
-            out.append((f"sigma={s:g}", TransmissionConfig(a=0.9, sigma=float(s), kappa=10)))
+            out.append((str(label), None if cfg is None else cfg._checked()))
         else:
-            raise InputError(f"bad correlation setting {s!r}")
+            sigma = float(_real("sigma", s, 0))
+            out.append((f"sigma={sigma:g}", TransmissionConfig(a=0.9, sigma=sigma, kappa=10)))
     return out
 
 
@@ -545,16 +544,3 @@ def _map_reps(fn, reps, threads):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, range(reps)))
     return [fn(r) for r in range(reps)]
-
-
-def _check_reps(reps, seed):
-    if not isinstance(reps, int) or reps < 2:
-        raise InputError(f"reps must be an integer >= 2, got {reps!r}")
-    _check_seed(seed)
-
-
-def _check_tests(m, seed, alpha):
-    """Check a runner's test settings before it simulates anything."""
-    _check_cfg(PermutationConfig(m=m, seed=seed))
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must be in (0, 1), got {alpha!r}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .errors import DegenerateStatisticError, InputError
+from .errors import DegenerateStatisticError, InputError, _choice, _count, _real
 
 __all__ = [
     "Network",
@@ -40,8 +41,7 @@ class Network:
     edges: tuple
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InputError(f"need at least one node, got n={self.n!r}")
+        object.__setattr__(self, "n", _count("n", self.n, 1))
         seen = set()
         for e in self.edges:
             if len(e) != 2:
@@ -177,8 +177,7 @@ def inverse_geodesic_weights(net, gamma=1.0):
 
     gamma must be positive. The diagonal is zero by construction.
     """
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise InputError(f"gamma must be a positive number, got {gamma!r}")
+    _real("gamma", gamma, 0, strict=True)
     d = geodesic_distances(net)
     with np.errstate(divide="ignore"):
         w = 1.0 / d**gamma
@@ -222,27 +221,30 @@ def generate_random_network(n, model="erdos-renyi", *, p=None, k=4,
     require_connected : bool
         If True, regenerate with sub-seed (seed, attempt) until connected,
         up to 1000 attempts, then raise InputError reporting the attempt count.
+        An Erdos-Renyi setting where fewer than 0.01 of the 1000 attempts are
+        expected to be connected fails at once instead.
 
     Each attempt draws from ``default_rng(SeedSequence((seed, attempt)))``,
     so results are reproducible and independent of earlier failed attempts.
     """
-    if not isinstance(n, int) or n < 2:
-        raise InputError(f"need n >= 2 nodes, got {n!r}")
-    _check_seed(seed)
-    if model == "erdos-renyi":
-        if p is None:
-            p = 5.0 / (n - 1)
-        if not (0.0 <= p <= 1.0):
-            raise InputError(f"edge probability p must be in [0, 1], got {p!r}")
+    n = _count("n", n, 2)
+    seed = _count("seed", seed, 0)
+    if _choice("model", model, ("erdos-renyi", "small-world")) == "erdos-renyi":
+        p = 5.0 / (n - 1) if p is None else _real("p", p, 0, 1)
+        # Expected connected draws, from the Erdos-Renyi limit of P(connected).
+        expected = _RETRY_CAP * math.exp(-n * (1 - p) ** (n - 1))
+        if require_connected and expected < 0.01:
+            raise InputError(
+                f"n={n} and p={p:g} give {expected:.2g} expected connected graphs in "
+                f"{_RETRY_CAP} attempts; use a larger p (--p) or require_connected=False "
+                "(--no-require-connected)")
         make = lambda rng: _er_edges(n, p, rng)
-    elif model == "small-world":
-        if not isinstance(k, int) or k < 2 or k % 2 != 0 or k >= n:
-            raise InputError(f"small-world k must be even with 2 <= k < n, got {k!r}")
-        if not (0.0 <= rewire_prob <= 1.0):
-            raise InputError(f"rewire_prob must be in [0, 1], got {rewire_prob!r}")
-        make = lambda rng: _smallworld_edges(n, k, rewire_prob, rng)
     else:
-        raise InputError(f"unknown model {model!r}; choose erdos-renyi or small-world")
+        k = _count("k", k, 2)
+        if k % 2 != 0 or k >= n:
+            raise InputError(f"k must be even and below n={n}, got {k!r}")
+        _real("rewire_prob", rewire_prob, 0, 1)
+        make = lambda rng: _smallworld_edges(n, k, rewire_prob, rng)
 
     for attempt in range(_RETRY_CAP):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
@@ -280,8 +282,3 @@ def _smallworld_edges(n, k, beta, rng):
                 out.discard((u, v))
                 out.add((min(u, w), max(u, w)))
     return out
-
-
-def _check_seed(seed):
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")

@@ -15,7 +15,8 @@ import numpy as np
 from scipy import stats
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import BadCovarianceError, InputError, NumericError, SingularDesignError
+from .errors import (BadCovarianceError, InputError, NumericError, SingularDesignError,
+                     _check_y, _real)
 
 __all__ = [
     "MeanEstimate",
@@ -63,10 +64,8 @@ def mean_ci_naive(y, level=0.95):
     observations, which is exactly the failure mode the Monte Carlo
     harnesses measure.
     """
-    y = _check_values(y)
-    if len(y) < 2:
-        raise InputError(f"need n >= 2 for a standard error, got n={len(y)}")
-    _check_level(level)
+    y = _check_y(y)
+    _real("level", level, 0, 1, strict=True)
     n = len(y)
     m = float(y.mean())
     se = float(y.std(ddof=1) / math.sqrt(n))
@@ -82,7 +81,7 @@ def ols(y, x, level=0.95):
     no residual degrees of freedom (n <= p).
     """
     y, x, n, p = _check_design(y, x)
-    _check_level(level)
+    _real("level", level, 0, 1, strict=True)
     beta, *_ = np.linalg.lstsq(x, y, rcond=None)
     resid = y - x @ beta
     sigma2 = float(resid @ resid) / (n - p)
@@ -104,7 +103,7 @@ def gls(y, x, sigma, level=0.95):
     estimated residual scale that ols applies and gls does not.
     """
     y, x, n, p = _check_design(y, x)
-    _check_level(level)
+    _real("level", level, 0, 1, strict=True)
     beta, se, resid = _gls_core(y, x, _gls_factor(sigma, n))
     z = _z_quantile(level)
     ci = np.column_stack([beta - z * se, beta + z * se])
@@ -245,17 +244,8 @@ def _z_quantile(level):
     return float(stats.norm.ppf(0.5 + level / 2.0))
 
 
-def _check_values(y):
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise InputError(f"y must be 1-D, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise InputError("y has non-finite values")
-    return y
-
-
 def _check_design(y, x):
-    y = _check_values(y)
+    y = _check_y(y)
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise InputError(f"design matrix must be 2-D, got shape {x.shape}")
@@ -293,8 +283,3 @@ def _check_covariance(m, n, name):
     if not np.allclose(m, m.T, atol=1e-8 * max(1.0, scale)):
         raise BadCovarianceError(f"{name} is not symmetric")
     return (m + m.T) / 2.0
-
-
-def _check_level(level):
-    if not (0.0 < level < 1.0):
-        raise InputError(f"confidence level must be in (0, 1), got {level!r}")

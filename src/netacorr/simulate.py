@@ -10,12 +10,12 @@ comparisons across horizons share noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateStatisticError, InputError
-from .graph import _check_seed, degrees, geodesic_distances
+from .errors import DegenerateStatisticError, _count, _real
+from .graph import degrees, geodesic_distances
 
 __all__ = [
     "TransmissionConfig",
@@ -46,6 +46,13 @@ class TransmissionConfig:
     kappa: int = 3
     seed: int = 0
 
+    def _checked(self):
+        """This config, its fields checked and its counts Python ints."""
+        _real("a", self.a, 0, 1)
+        _real("sigma", self.sigma, 0)
+        return replace(self, kappa=_count("kappa", self.kappa, 0),
+                       seed=_count("seed", self.seed, 0))
+
 
 @dataclass(frozen=True)
 class LatentConfig:
@@ -54,6 +61,12 @@ class LatentConfig:
     length_scale: float = 2.0
     noise: float = 0.5
     seed: int = 0
+
+    def _checked(self):
+        """This config, its fields checked and its seed a Python int."""
+        _real("length_scale", self.length_scale, 0, strict=True)
+        _real("noise", self.noise, 0)
+        return replace(self, seed=_count("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -64,6 +77,12 @@ class ConfoundConfig:
     noise: float = 1.0
     seed: int = 0
 
+    def _checked(self):
+        """This config, its fields checked and its seed a Python int."""
+        _real("b", self.b)
+        _real("noise", self.noise, 0, strict=True)
+        return replace(self, seed=_count("seed", self.seed, 0))
+
 
 def transmission_operator(net, a):
     """One-step transmission matrix T = (1 - a) I + a P.
@@ -71,8 +90,7 @@ def transmission_operator(net, a):
     P is the row-normalized adjacency; a node with no neighbours keeps its
     own value (P_ii = 1), so T is always row-stochastic.
     """
-    if not (0.0 <= a <= 1.0):
-        raise InputError(f"transmission strength a must be in [0, 1], got {a!r}")
+    _real("a", a, 0, 1)
     deg = degrees(net)
     t = net.adjacency.toarray()
     t *= (a / np.maximum(deg, 1))[:, None]
@@ -92,7 +110,7 @@ def transmission_covariance(net, a, sigma, kappa):
     Returned exactly symmetric (the average with its transpose is taken to
     scrub accumulated rounding).
     """
-    _check_sim(sigma, kappa)
+    kappa = TransmissionConfig(a=a, sigma=sigma, kappa=kappa)._checked().kappa
     t = transmission_operator(net, a)
     m = net.n
     tk = np.eye(m)
@@ -113,7 +131,7 @@ def direct_transmission(net, cfg, rng=None):
 
         y <- T y + sigma * eps,   eps ~ N(0, I).
     """
-    _check_sim(cfg.sigma, cfg.kappa)
+    cfg = cfg._checked()
     t = transmission_operator(net, cfg.a)
     rng = _resolve_rng(cfg.seed, rng)
     y = rng.standard_normal(net.n)
@@ -128,8 +146,7 @@ def latent_field(z, dist, length_scale):
     Unreachable pairs (d = inf) get zero weight; the self weight is always 1,
     so the row sums never vanish.
     """
-    if not (np.isfinite(length_scale) and length_scale > 0):
-        raise InputError(f"length_scale must be positive, got {length_scale!r}")
+    _real("length_scale", length_scale, 0, strict=True)
     k = np.exp(-dist / length_scale)
     return (k @ z) / k.sum(axis=1)
 
@@ -141,8 +158,7 @@ def latent_variable_outcome(net, cfg, rng=None):
     cfg.length_scale, and adds cfg.noise * eps. As length_scale -> 0 the
     kernel collapses to the identity and the outcome is iid.
     """
-    if cfg.noise < 0:
-        raise InputError(f"noise must be >= 0, got {cfg.noise!r}")
+    cfg = cfg._checked()
     rng = _resolve_rng(cfg.seed, rng)
     z = rng.standard_normal(net.n)
     eps = rng.standard_normal(net.n)
@@ -163,8 +179,7 @@ def standardized_degrees(net):
 
 def degree_confounded_covariate(net, cfg, rng=None):
     """Covariate loaded on standardized degree: x = b * zdeg + noise * eps."""
-    if not (np.isfinite(cfg.noise) and cfg.noise > 0):
-        raise InputError(f"noise must be positive, got {cfg.noise!r}")
+    cfg = cfg._checked()
     zdeg = standardized_degrees(net)
     rng = _resolve_rng(cfg.seed, rng)
     return cfg.b * zdeg + cfg.noise * rng.standard_normal(net.n)
@@ -176,8 +191,7 @@ def monotone_pair(n, seed=0, rng=None):
     x = s_x * (1..n)/n and y = s_y * (1..n)/n, so |corr(x, y)| is exactly 1
     and the correlation sign is s_x * s_y.
     """
-    if not isinstance(n, int) or n < 2:
-        raise InputError(f"need n >= 2, got {n!r}")
+    n, seed = _count("n", n, 2), _count("seed", seed, 0)
     rng = _resolve_rng(seed, rng)
     sx = 2.0 * rng.integers(0, 2) - 1.0
     sy = 2.0 * rng.integers(0, 2) - 1.0
@@ -186,14 +200,4 @@ def monotone_pair(n, seed=0, rng=None):
 
 
 def _resolve_rng(seed, rng):
-    if rng is not None:
-        return rng
-    _check_seed(seed)
-    return np.random.default_rng(seed)
-
-
-def _check_sim(sigma, kappa):
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise InputError(f"sigma must be >= 0, got {sigma!r}")
-    if not isinstance(kappa, (int, np.integer)) or kappa < 0:
-        raise InputError(f"kappa must be a non-negative integer, got {kappa!r}")
+    return rng if rng is not None else np.random.default_rng(seed)

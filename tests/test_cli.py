@@ -514,6 +514,30 @@ def test_cli_generate_network_failure_exit_code(run_cli):
     assert "attempts" in err
 
 
+@pytest.mark.parametrize("flags, name", [
+    (("--model", "latent", "--noise", "nan"), "noise"),
+    (("--model", "degree-confound", "--b", "inf"), "b"),
+], ids=["latent-noise-nan", "degree-confound-b-inf"])
+def test_cli_simulate_rejects_non_finite_settings(run_cli, tmp_path, flags, name):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("src,dst\na,b\nb,c\nc,d\nb,d\n")
+    code, out, err = run_cli("simulate", "--edges", str(edges), *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} must be a finite number")
+
+
+@pytest.mark.parametrize("command", [("generate-network",), ("experiment", "coverage")])
+def test_cli_hopeless_erdos_renyi_network_fails_fast(run_cli, command):
+    # at n=2000 the default mean degree 5 leaves isolated nodes in almost
+    # every draw; the retry loop used to spend about 40 s before exit 2
+    code, out, err = run_cli(*command, "--n", "2000")
+    assert code == 2
+    assert out == ""
+    assert "n=2000" in err and "attempts" in err
+    assert "--p" in err and "--no-require-connected" in err
+
+
 def test_cli_experiment_coverage(run_cli, tmp_path):
     edges = tmp_path / "edges.csv"
     code, _, _ = run_cli("generate-network", "--n", "40", "--p", "0.12",

@@ -196,7 +196,7 @@ def test_gls_experiment_validation():
     with pytest.raises(InputError):
         run_gls_correction_experiment(NET, lambdas=(1.5,), reps=10, seed=0)
     for estimator in ("lmm", "gls"):
-        with pytest.raises(InputError, match="confidence level"):
+        with pytest.raises(InputError, match=r"^level must be a number in \(0, 1\)"):
             run_gls_correction_experiment(NET, estimator=estimator, level=1.5,
                                           reps=10, seed=0)
 

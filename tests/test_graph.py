@@ -22,6 +22,8 @@ from netacorr import (
     transmission_operator,
 )
 
+from netacorr import graph
+
 from conftest import random_network
 
 
@@ -253,3 +255,38 @@ def test_require_connected_retries_or_fails():
     net = generate_random_network(40, model="erdos-renyi", p=0.001, seed=0,
                                   require_connected=False)
     assert not is_connected(net)
+
+
+def test_hopeless_erdos_renyi_settings_fail_before_the_retry_loop(monkeypatch):
+    # refused: fewer than 0.01 of the 1000 attempts expected to be connected
+    er_edges = graph._er_edges
+
+    class Drawn(Exception):
+        pass
+
+    def drawing(*args):
+        raise Drawn
+
+    monkeypatch.setattr(graph, "_er_edges", drawing)
+    refused = []
+    for n in range(2, 13):
+        for p in (0.0, 0.001, 0.002, 0.0035, 0.005, 0.05, 0.5):
+            try:
+                generate_random_network(n, p=p, seed=0)
+            except Drawn:
+                continue
+            except InputError as exc:
+                assert f"n={n} and p={p:g} " in str(exc) and "attempts" in str(exc)
+                assert "--p" in str(exc) and "--no-require-connected" in str(exc)
+                refused.append((n, p))
+    assert refused == [(12, 0.0), (12, 0.001), (12, 0.002), (12, 0.0035)]
+    # none of the draws the loop would make for seeds 0-4 has the n - 1 edges
+    # that a connected graph needs
+    for n, p in refused:
+        for seed in range(5):
+            for attempt in range(1000):
+                rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
+                assert len(list(er_edges(n, p, rng))) < n - 1
+    # without the connectivity requirement the same settings still draw
+    monkeypatch.undo()
+    assert generate_random_network(12, p=0.0, require_connected=False).edges == ()
