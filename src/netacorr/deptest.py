@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 from scipy import sparse, stats
 
-from .errors import DegenerateStatisticError, InputError, _check_y, _choice, _count
+from .errors import (DegenerateStatisticError, InputError, _check_y, _choice, _count,
+                     _float_array)
 
 __all__ = [
     "NullMoments",
@@ -369,7 +370,9 @@ def _validate(y, w):
 def _check_w(w, n):
     """w as a float array or canonical CSR array, and its total S0."""
     is_sparse = sparse.issparse(w)
-    w = sparse.csr_array(w, dtype=float) if is_sparse else np.asarray(w, dtype=float)
+    if is_sparse and w.dtype.kind not in "biuf":
+        raise InputError(f"w must be an array of real numbers, got dtype {w.dtype}")
+    w = sparse.csr_array(w, dtype=float) if is_sparse else _float_array("w", w)
     if w.shape != (n, n):
         raise InputError(f"w must be {n}x{n} to match y, got shape {w.shape}")
     if is_sparse:

@@ -4,9 +4,9 @@ The CLI exits with the ``exit_code`` of the error it catches, so new error
 types should subclass one of the three mid-level classes rather than
 NetacorrError directly.
 
-Every public entry point checks its scalar arguments with the three
-helpers below, so one rule decides what counts as a valid count, real or
-choice, and the InputError names the parameter first.
+Every public entry point checks its arguments with the helpers below, so
+one rule decides what counts as a valid count, real, choice, list of cells
+or numeric array, and the InputError names the parameter first.
 """
 
 import math
@@ -72,9 +72,26 @@ def _choice(name, value, options):
     raise InputError(f"{name} must be one of {', '.join(map(repr, options))}, got {value!r}")
 
 
+def _nonempty(name, values):
+    """values, if it holds at least one item (a study needs at least one cell)."""
+    if len(values) == 0:
+        raise InputError(f"{name} must not be empty")
+    return values
+
+
+def _float_array(name, value):
+    """value as a float ndarray, if every entry is a real number."""
+    try:
+        if np.iscomplexobj(value):
+            raise TypeError("it holds complex values")
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be an array of real numbers: {exc}") from None
+
+
 def _check_y(y):
     """y as a 1-D float array of at least 2 finite values."""
-    y = np.asarray(y, dtype=float)
+    y = _float_array("y", y)
     if y.ndim != 1 or len(y) < 2:
         raise InputError(f"y must be 1-D with at least 2 values, got shape {y.shape}")
     if not np.isfinite(y).all():

@@ -37,7 +37,8 @@ import numpy as np
 
 from ._version import SCHEMA_VERSION, __version__
 from .deptest import _centre, _check_w, _rejects
-from .errors import BadCovarianceError, InputError, _check_y, _choice, _count, _real
+from .errors import (BadCovarianceError, InputError, _check_y, _choice, _count, _nonempty,
+                     _real)
 from .graph import adjacency_weights
 from .inference import (
     _check_design,
@@ -221,7 +222,8 @@ def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
     reps, seed, m = _count("reps", reps, 2), _count("seed", seed, 0), _count("m", m, 1)
     _real("alpha", alpha, 0, 1, strict=True)
     _real("level", level, 0, 1, strict=True)
-    cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked() for k in kappa_list]
+    cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
+            for k in _nonempty("kappa_list", kappa_list)]
     kappa_list = [cfg.kappa for cfg in cfgs]
     w, s0 = _check_w(adjacency_weights(net), net.n)
 
@@ -261,9 +263,8 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
     reps, seed, m = _count("reps", reps, 2), _count("seed", seed, 0), _count("m", m, 1)
     _real("alpha", alpha, 0, 1, strict=True)
     _real("level", level, 0, 1, strict=True)
-    if not kappa_list:
-        raise InputError("kappa_list must not be empty")
-    cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked() for k in kappa_list]
+    cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
+            for k in _nonempty("kappa_list", kappa_list)]
     kappa_list = [cfg.kappa for cfg in cfgs]
     w, s0 = _check_w(adjacency_weights(net), net.n)
     n = net.n
@@ -324,7 +325,8 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
     _real("alpha", alpha, 0, 1, strict=True)
     _real("level", level, 0, 1, strict=True)
     _real("outcome_effect", outcome_effect)
-    cfgs = [ConfoundConfig(b=b, noise=noise)._checked() for b in effect_sizes]
+    cfgs = [ConfoundConfig(b=b, noise=noise)._checked()
+            for b in _nonempty("effect_sizes", effect_sizes)]
     w, s0 = _check_w(adjacency_weights(net), net.n)
     n = net.n
     zdeg = standardized_degrees(net)
@@ -382,10 +384,11 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
     reps, seed = _count("reps", reps, 2), _count("seed", seed, 0)
     _choice("estimator", estimator, ("lmm", "gls"))
     _choice("kinship", kinship, ("transmission", "adjacency"))
-    for lam in lambdas:
+    for lam in _nonempty("lambdas", lambdas):
         _real("lambda", lam, 0, 1)
     _real("level", level, 0, 1, strict=True)
-    cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked() for k in kappa_list]
+    cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
+            for k in _nonempty("kappa_list", kappa_list)]
     kappa_list = [cfg.kappa for cfg in cfgs]
     n = net.n
     core = _lmm_core if estimator == "lmm" else _gls_core

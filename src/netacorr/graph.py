@@ -238,7 +238,8 @@ def generate_random_network(n, model="erdos-renyi", *, p=None, k=4,
                 f"n={n} and p={p:g} give {expected:.2g} expected connected graphs in "
                 f"{_RETRY_CAP} attempts; use a larger p (--p) or require_connected=False "
                 "(--no-require-connected)")
-        make = lambda rng: _er_edges(n, p, rng)
+        iu, ju = np.triu_indices(n, 1)  # the same pairs for every attempt
+        make = lambda rng: _er_edges(iu, ju, p, rng)
     else:
         k = _count("k", k, 2)
         if k % 2 != 0 or k >= n:
@@ -257,8 +258,7 @@ def generate_random_network(n, model="erdos-renyi", *, p=None, k=4,
     )
 
 
-def _er_edges(n, p, rng):
-    iu, ju = np.triu_indices(n, 1)
+def _er_edges(iu, ju, p, rng):
     mask = rng.random(iu.size) < p
     return zip(iu[mask].tolist(), ju[mask].tolist())
 

@@ -16,7 +16,7 @@ from scipy import stats
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (BadCovarianceError, InputError, NumericError, SingularDesignError,
-                     _check_y, _real)
+                     _check_y, _float_array, _real)
 
 __all__ = [
     "MeanEstimate",
@@ -167,59 +167,112 @@ def _lmm_factor(k, n):
 
 
 def _lmm_core(y, x, factor):
-    """The lmm_fit of checked y, x on an _lmm_factor of k: rotate, then profile."""
+    """The lmm_fit of checked y, x on an _lmm_factor of k: rotate, then profile.
+
+    The search over log(delta) runs on weighted sums built once per fit
+    (see _outer_rows); the delta = 0 fit and the delta the search picks are
+    fitted on the residual route (_residual_fit), which reports the result.
+    """
     lam, u = factor
     n = len(y)
     yt = u.T @ y
     xt = u.T @ x
 
-    def profile(delta):
-        # Returns (negative profiled -2/n-free loglik core, beta, s2, v).
-        v = delta * lam + 1.0
-        xw = xt / v[:, None]
-        a = xt.T @ xw
-        try:
-            beta = np.linalg.solve(a, xw.T @ yt)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"weighted normal equations singular: {exc}") from exc
-        r = yt - xt @ beta
-        s2 = float(np.mean(r * r / v))
-        if not (s2 > 0 and np.isfinite(s2)):
-            raise NumericError(
-                "zero or non-finite residual variance; likelihood undefined "
-                "(is the model a perfect fit?)"
-            )
-        core = n * math.log(s2) + float(np.log(v).sum())
-        return core, beta, s2, v
-
-    def negll(logd):
-        return profile(math.exp(logd))[0]
-
     # At delta = 0, s2 is the mean squared residual of the ML regression. One
     # at the rounding level of y is noise: X fits y exactly.
-    core0, _, s2_0, _ = profile(0.0)
+    fit0 = _residual_fit(xt, yt, lam, 0.0)
+    core0, beta0, s2_0, _ = fit0
     if not s2_0 > np.finfo(float).eps * float(yt @ yt) / n:
         raise NumericError(
             "residual variance at the rounding level of y; likelihood undefined "
             "(is the model a perfect fit?)"
         )
+    g = _outer_rows(xt, yt - xt @ beta0)
+    m = xt.shape[1] + 1
+
+    def negll(logd):
+        v = math.exp(logd) * lam + 1.0
+        return _profile_core(((1.0 / v) @ g).tolist(), m, n, float(np.log(v).sum()))
+
     grid = np.linspace(_LOGD_LO, _LOGD_HI, 9)
-    cores = [negll(g) for g in grid]
+    v = np.exp(grid)[:, None] * lam + 1.0
+    logv = np.log(v).sum(axis=1).tolist()
+    cores = [_profile_core(s, m, n, lv) for s, lv in zip(((1.0 / v) @ g).tolist(), logv)]
     g_best = int(np.argmin(cores))
     lo = grid[max(0, g_best - 1)]
     hi = grid[min(len(grid) - 1, g_best + 1)]
-    logd_opt = _golden_min(negll, float(lo), float(hi), _GOLDEN_TOL)
+    delta = math.exp(_golden_min(negll, float(lo), float(hi), _GOLDEN_TOL))
 
-    candidates = [(negll(logd_opt), math.exp(logd_opt)), (core0, 0.0)]
-    core_best, delta = min(candidates, key=lambda c: c[0])
-    _, beta, s2, v = profile(delta)
-
-    a = xt.T @ (xt / v[:, None])
-    cov_beta = s2 * np.linalg.inv(a)
-    se = np.sqrt(np.diagonal(cov_beta))
+    fit = _residual_fit(xt, yt, lam, delta)
+    if core0 < fit[0]:
+        delta, fit = 0.0, fit0
+    core_best, beta, s2, a = fit
+    se = np.sqrt(np.diagonal(s2 * np.linalg.inv(a)))
     loglik = -0.5 * (n * math.log(2.0 * math.pi) + n + core_best)
     return LmmFit(beta=beta, se=se, sigma_g2=float(delta * s2),
                   sigma_e2=float(s2), loglik=float(loglik))
+
+
+def _residual_fit(xt, yt, lam, delta):
+    """(profile core, beta, s2, a) at delta by solving the weighted normal
+    equations a beta = X'V^-1 y and refitting the residuals."""
+    v = delta * lam + 1.0
+    xw = xt / v[:, None]
+    a = xt.T @ xw
+    try:
+        beta = np.linalg.solve(a, xw.T @ yt)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"weighted normal equations singular: {exc}") from exc
+    r = yt - xt @ beta
+    s2 = float(np.mean(r * r / v))
+    _check_s2(s2)
+    return len(yt) * math.log(s2) + float(np.log(v).sum()), beta, s2, a
+
+
+def _outer_rows(xt, r0):
+    """Row i holds the outer product of z_i = [xt_i, r0_i] with itself, flattened.
+
+    With w = 1/v, w @ rows is the (p+1) x (p+1) matrix [[a, b], [b', c]] of
+    weighted sums: a = X'WX, b = X'W r0 and c = r0'W r0. As y - X beta =
+    r0 - X (beta - beta0), the weighted residual sum of squares of y is the
+    Schur complement c - b'a^-1 b. Building on the delta = 0 residuals r0
+    rather than y keeps b small next to c, so the subtraction cancels no
+    digits even when X explains nearly all of y.
+    """
+    z = np.column_stack([xt, r0])
+    return (z[:, :, None] * z[:, None, :]).reshape(len(z), -1)
+
+
+def _profile_core(sums, m, n, logv_sum):
+    """n log(rss / n) + sum(log v) from the flat m x m weighted sums of _outer_rows.
+
+    rss is the last pivot of Gaussian elimination without pivoting, which is
+    safe because a is symmetric positive definite; only the upper triangle
+    is read and updated.
+    """
+    rows = [sums[i * m:(i + 1) * m] for i in range(m)]
+    for k in range(m - 1):
+        rk = rows[k]
+        piv = rk[k]
+        if not (piv > 0 and math.isfinite(piv)):
+            raise NumericError(
+                f"weighted normal equations singular: pivot {k} is {piv!r}")
+        for i in range(k + 1, m):
+            f = rk[i] / piv
+            ri = rows[i]
+            for j in range(i, m):
+                ri[j] -= f * rk[j]
+    rss = rows[-1][-1]
+    _check_s2(rss)
+    return n * math.log(rss / n) + logv_sum
+
+
+def _check_s2(s2):
+    if not (s2 > 0 and math.isfinite(s2)):
+        raise NumericError(
+            "zero or non-finite residual variance; likelihood undefined "
+            "(is the model a perfect fit?)"
+        )
 
 
 def _golden_min(f, lo, hi, tol):
@@ -246,7 +299,7 @@ def _z_quantile(level):
 
 def _check_design(y, x):
     y = _check_y(y)
-    x = np.asarray(x, dtype=float)
+    x = _float_array("x", x)
     if x.ndim != 2:
         raise InputError(f"design matrix must be 2-D, got shape {x.shape}")
     n, p = x.shape
@@ -274,7 +327,7 @@ def _rank_message(x, p):
 
 
 def _check_covariance(m, n, name):
-    m = np.asarray(m, dtype=float)
+    m = _float_array(name, m)
     if m.shape != (n, n):
         raise InputError(f"{name} must be {n}x{n}, got shape {m.shape}")
     if not np.all(np.isfinite(m)):

@@ -641,3 +641,13 @@ def test_readme_experiment_table_matches_the_cli():
         assert listed_runner == f"`{runner.__name__}`"
         flags = [part.split()[0].strip("`") for part in listed.split(", ")]
         assert flags == ["--" + opt.replace("_", "-") for opt in options]
+
+
+def test_cli_experiment_empty_kappa_list_exits_2(run_cli, tmp_path):
+    # "--kappas ," parses to no kappas: no cells, so no report is written
+    code, out, err = run_cli("experiment", "coverage", "--n", "30", "--reps", "2",
+                             "--kappas", ",", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "kappa_list must not be empty" in err
+    assert list(tmp_path.iterdir()) == []

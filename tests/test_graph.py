@@ -283,10 +283,11 @@ def test_hopeless_erdos_renyi_settings_fail_before_the_retry_loop(monkeypatch):
     # none of the draws the loop would make for seeds 0-4 has the n - 1 edges
     # that a connected graph needs
     for n, p in refused:
+        iu, ju = np.triu_indices(n, 1)
         for seed in range(5):
             for attempt in range(1000):
                 rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
-                assert len(list(er_edges(n, p, rng))) < n - 1
+                assert len(list(er_edges(iu, ju, p, rng))) < n - 1
     # without the connectivity requirement the same settings still draw
     monkeypatch.undo()
     assert generate_random_network(12, p=0.0, require_connected=False).edges == ()

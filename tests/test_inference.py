@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from netacorr import inference
 from netacorr import (
     BadCovarianceError,
     InputError,
@@ -157,14 +159,15 @@ def _psd_k(rng, n):
     return k / np.mean(np.diag(k))
 
 
-def test_lmm_brute_force_profile_oracle():
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_lmm_brute_force_profile_oracle(p):
     # independent re-implementation: dense grid over delta, same profile math
     rng = np.random.default_rng(16)
     n = 40
     k = _psd_k(rng, n)
-    x = _design(rng, n, 2)
+    x = _design(rng, n, p)
     g = np.linalg.cholesky(k + 1e-10 * np.eye(n)) @ rng.standard_normal(n)
-    y = x @ np.array([0.5, -1.0]) + g + 0.7 * rng.standard_normal(n)
+    y = x @ np.linspace(0.5, -1.0, p) + g + 0.7 * rng.standard_normal(n)
     fit = lmm_fit(y, x, k)
 
     lam, u = np.linalg.eigh(k)
@@ -296,3 +299,82 @@ def test_lmm_fit_at_rounding_level_raises_numeric_error():
     # the same design with genuine, if tiny, noise still fits
     fit = lmm_fit(y + 1e-6 * rng.standard_normal(n), x, np.eye(n))
     assert 0.0 < fit.se[1] < 1e-5
+
+
+# The search over delta runs on weighted sums (inference._outer_rows and
+# _profile_core); the tests below hold it to the residual refit it replaces.
+
+def _residual_route_lmm(y, x, k):
+    """(beta, se) of lmm_fit with every search step fitted by _residual_fit."""
+    lam, u = inference._lmm_factor(k, len(y))
+    n = len(y)
+    yt, xt = u.T @ y, u.T @ x
+
+    def negll(logd):
+        return inference._residual_fit(xt, yt, lam, math.exp(logd))[0]
+
+    core0, _, s2_0, _ = inference._residual_fit(xt, yt, lam, 0.0)
+    if not s2_0 > np.finfo(float).eps * float(yt @ yt) / n:
+        raise NumericError("residual variance at the rounding level of y")
+    grid = np.linspace(inference._LOGD_LO, inference._LOGD_HI, 9)
+    cores = [negll(g) for g in grid]
+    g_best = int(np.argmin(cores))
+    lo, hi = grid[max(0, g_best - 1)], grid[min(len(grid) - 1, g_best + 1)]
+    logd = inference._golden_min(negll, float(lo), float(hi), inference._GOLDEN_TOL)
+    core_best, delta = min([(negll(logd), math.exp(logd)), (core0, 0.0)], key=lambda c: c[0])
+    _, beta, s2, a = inference._residual_fit(xt, yt, lam, delta)
+    return beta, np.sqrt(np.diagonal(s2 * np.linalg.inv(a)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 4), rank=st.integers(0, 24),
+       logd=st.floats(-10.0, 10.0), noise=st.sampled_from([1.0, 1e-2, 1e-4]))
+def test_lmm_sums_route_core_matches_residual_route(seed, p, rank, logd, noise):
+    # K of rank <= 24 on 24 nodes keeps from 0 to 24 zero eigenvalues; a small
+    # noise gives a design that explains all but 1e-8 of the variance of y
+    rng = np.random.default_rng(seed)
+    n = 24
+    a = rng.standard_normal((n, rank))
+    lam, u = inference._lmm_factor(a @ a.T, n)
+    x = _design(rng, n, p)
+    y = x @ rng.uniform(-3.0, 3.0, p) + noise * rng.standard_normal(n)
+    yt, xt = u.T @ y, u.T @ x
+    beta0 = inference._residual_fit(xt, yt, lam, 0.0)[1]
+    rows = inference._outer_rows(xt, yt - xt @ beta0)
+    v = math.exp(logd) * lam + 1.0
+    got = inference._profile_core(((1.0 / v) @ rows).tolist(), p + 1, n,
+                                  float(np.log(v).sum()))
+    want = inference._residual_fit(xt, yt, lam, math.exp(logd))[0]
+    # a relative error e in the residual sum of squares moves the core by n * e
+    assert abs(got - want) <= 1e-9 * max(abs(want), n)
+
+
+def test_lmm_noise_scan_fails_where_the_residual_route_fails():
+    # y = X beta + s * eps down to s = 3e-9, past the rounding-level guard:
+    # the sums route must neither fail where the refit route fits nor fit
+    # where it fails. Near the guard the profile is flat to rounding, so the
+    # search stops anywhere in a small interval: nudging y by one ulp moves
+    # the refit route's own beta and se by up to 8.5e-5 of the se here.
+    outcomes = []
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        n = 40
+        k = _psd_k(rng, n)
+        x = _design(rng, n, 2)
+        eps = rng.standard_normal(n)
+        for s in np.geomspace(1e-4, 3e-9, 12):
+            y = x @ np.array([3.0, 1.5]) + s * eps
+            try:
+                want = _residual_route_lmm(y, x, k)
+            except NumericError:
+                want = None
+            try:
+                got = lmm_fit(y, x, k)
+            except NumericError:
+                got = None
+            assert (got is None) == (want is None), (seed, s)
+            if got is not None:
+                assert np.all(np.abs(got.beta - want[0]) <= 1e-4 * want[1]), (seed, s)
+                assert np.all(np.abs(got.se - want[1]) <= 1e-4 * want[1]), (seed, s)
+            outcomes.append(got is None)
+    assert 0 < sum(outcomes) < len(outcomes)  # the scan crosses the guard

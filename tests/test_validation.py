@@ -8,6 +8,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from netacorr import (
     BadCovarianceError,
@@ -31,8 +32,10 @@ from netacorr import (
     inverse_geodesic_weights,
     latent_field,
     latent_variable_outcome,
+    lmm_fit,
     mean_ci_naive,
     monotone_pair,
+    morans_i,
     normal_test,
     ols,
     permutation_test,
@@ -225,3 +228,42 @@ def test_error_classes_carry_their_exit_codes():
     codes = {InputError: 2, SingularDesignError: 2, BadCovarianceError: 2,
              DegenerateStatisticError: 3, NumericError: 4, NetacorrError: 4}
     assert {cls: cls.exit_code for cls in codes} == codes
+
+
+@pytest.mark.parametrize("name, param", [
+    ("coverage", "kappa_list"),
+    ("spurious-regression", "kappa_list"),
+    ("degree-confounding", "effect_sizes"),
+    ("gls-correction", "kappa_list"),
+    ("gls-correction", "lambdas"),
+])
+@pytest.mark.parametrize("empty", [(), []], ids=["tuple", "list"])
+def test_empty_cell_list_fails_before_any_draw(name, param, empty, monkeypatch):
+    # a study with no cells would return a report with no rows
+    monkeypatch.setattr(np.random, "default_rng", _no_draws)
+    with pytest.raises(InputError, match=f"^{param} must not be empty$"):
+        runner(name, param)(empty)
+
+
+STRINGS = ["a"] * 30
+
+
+@pytest.mark.parametrize("param, call", [
+    ("y", lambda: morans_i(STRINGS, W)),
+    ("y", lambda: mean_ci_naive([1 + 2j, 3])),
+    ("y", lambda: mean_ci_naive(np.array([1 + 2j, 3]))),
+    ("y", lambda: ols([[1.0], [2.0, 3.0]], X)),
+    ("w", lambda: morans_i(Y, [STRINGS] * 30)),
+    ("w", lambda: permutation_test(Y, W.astype(complex))),
+    ("w", lambda: morans_i(Y, sparse.csr_array(W.astype(complex)))),
+    ("x", lambda: ols(Y, [["a", "b"]] * 30)),
+    ("x", lambda: gls(Y, X.astype(complex), np.eye(30))),
+    ("sigma", lambda: gls(Y, X, [STRINGS] * 30)),
+    ("k", lambda: lmm_fit(Y, X, [STRINGS] * 30)),
+    ("k", lambda: lmm_fit(Y, X, [{}] * 30)),
+], ids=["morans_i-y-str", "mean-y-complex-list", "mean-y-complex-array", "ols-y-ragged",
+        "morans_i-w-str", "permutation_test-w-complex", "morans_i-w-sparse-complex",
+        "ols-x-str", "gls-x-complex", "gls-sigma-str", "lmm_fit-k-str", "lmm_fit-k-dict"])
+def test_non_numeric_array_raises_input_error_naming_it(param, call):
+    with pytest.raises(InputError, match=f"^{param} must be an array of real numbers"):
+        call()
