@@ -9,19 +9,17 @@ human summary goes to stderr. Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
-import io
-import json
 import math
 import os
 import sys
 
 import numpy as np
 
-from ._version import SCHEMA_VERSION, __version__
+from ._io import (csv_text, document, expect_header, flat_csv_text, json_text, read_csv,
+                  write_text)
+from ._version import __version__
 from .deptest import PermutationConfig, gearys_c, normal_test, permutation_test
-from .errors import InputError, NetacorrError
+from .errors import InputError, NetacorrError, _count
 from .experiments import _STUDIES, EXPERIMENT_NAMES, write_report
 from .graph import (
     _edge_weights,
@@ -179,8 +177,7 @@ def cmd_test(args):
     result = _result_fields(res)
     if args.geary:
         result["gearys_c"] = gearys_c(y, w)
-    doc = _document("test", _echo_stat_options(args), {"result": result})
-    _emit(doc, args)
+    _emit(document(command="test", options=_echo_stat_options(args), result=result), args)
     _human_summary("test", res)
     return 0
 
@@ -188,38 +185,36 @@ def cmd_test(args):
 def cmd_residual_test(args):
     net, labels = load_edge_list(args.edges)
     y = _load_values_csv(args.values, labels)
-    names, xcols = _load_node_table(args.design, labels)
+    names, xcols = _load_node_table(args.design, labels, "design")
     design = np.column_stack([np.ones(len(y)), xcols])
     fit = ols(y, design)
     res = _run_test(fit.residuals, _weights_for(net, args.weights), args)
-    doc = _document("residual-test", _echo_stat_options(args, design=args.design), {
-        "fit": {
-            "names": ["intercept"] + names,
-            "beta": [float(b) for b in fit.beta],
-            "se": [float(s) for s in fit.se],
-            "ci": [[float(lo), float(hi)] for lo, hi in fit.ci],
-            "sigma2": fit.sigma2,
-        },
-        "result": _result_fields(res),
-    })
-    _emit(doc, args)
+    fitted = {
+        "names": ["intercept"] + names,
+        "beta": [float(b) for b in fit.beta],
+        "se": [float(s) for s in fit.se],
+        "ci": [[float(lo), float(hi)] for lo, hi in fit.ci],
+        "sigma2": fit.sigma2,
+    }
+    options = _echo_stat_options(args, design=args.design)
+    _emit(document(command="residual-test", options=options, fit=fitted,
+                   result=_result_fields(res)), args)
     _human_summary("residual-test", res)
     return 0
 
 
 def cmd_simulate(args):
-    rows, header = _simulate_rows(args)
-    _write_out(args.out, _csv_text(header, rows))
+    write_text(args.out, csv_text(*_simulated_table(args)))
     return 0
 
 
-def _simulate_rows(args):
+def _simulated_table(args):
+    """The header and rows of the simulate CSV; floats go out as their repr."""
     if args.model == "monotone-pair":
         if args.n is None:
             raise InputError("monotone-pair needs --n (it draws no network)")
         x, y = monotone_pair(args.n, seed=args.seed)
-        rows = [(str(i), repr(float(x[i])), repr(float(y[i]))) for i in range(args.n)]
-        return rows, ("node", "x", "y")
+        return ("node", "x", "y"), zip(range(args.n), x.tolist(), y.tolist())
     if args.edges is None:
         raise InputError(f"model {args.model!r} needs --edges")
     net, labels = load_edge_list(args.edges)
@@ -235,8 +230,7 @@ def _simulate_rows(args):
         noise = 1.0 if args.noise is None else args.noise
         cfg = ConfoundConfig(b=args.b, noise=noise, seed=args.seed)
         y = degree_confounded_covariate(net, cfg)
-    rows = [(labels[i], repr(float(y[i]))) for i in range(net.n)]
-    return rows, ("node", "value")
+    return ("node", "value"), zip(labels, y.tolist())
 
 
 def cmd_experiment(args):
@@ -246,9 +240,7 @@ def cmd_experiment(args):
     kwargs = {kw: getattr(args, opt) for opt, kw in options.items()
               if getattr(args, opt) is not None}
     run = runner(net, reps=args.reps, seed=args.seed, threads=threads, **kwargs)
-    with _writing(args.out):
-        paths = write_report(run, args.out, fmt=args.format)
-    for path in paths:
+    for path in write_report(run, args.out, fmt=args.format):
         print(path)
     for row in run.rows:
         print("  " + "  ".join(f"{k}={_fmt_cell(v)}" for k, v in row.items()),
@@ -262,8 +254,7 @@ def cmd_generate_network(args):
         args.n, args.model, p=args.p, k=args.k, rewire_prob=args.rewire_prob,
         seed=args.seed, require_connected=args.require_connected,
     )
-    rows = [(str(i), str(j)) for i, j in net.edges]
-    _write_out(args.out, _csv_text(("src", "dst"), rows))
+    write_text(args.out, csv_text(("src", "dst"), net.edges))
     print(f"{args.model} network: n={net.n}, edges={len(net.edges)}", file=sys.stderr)
     return 0
 
@@ -289,18 +280,6 @@ def _result_fields(res):
         "n": res.n,
         "s0": res.s0,
     }
-
-
-def _document(command, options, payload):
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "netacorr",
-        "version": __version__,
-        "command": command,
-        "options": options,
-    }
-    doc.update(payload)
-    return doc
 
 
 def _echo_stat_options(args, **extra):
@@ -331,65 +310,13 @@ def _human_summary(kind, res):
 
 
 def _emit(doc, args):
-    if args.format == "json":
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        flat = _flatten(doc)
-        header = list(flat.keys())
-        line1 = ",".join(header)
-        line2 = ",".join("" if flat[k] is None else str(flat[k]) for k in header)
-        text = line1 + "\n" + line2 + "\n"
-    _write_out(args.out, text)
-
-
-def _write_out(path, text):
-    """Write text to the --out file, or to stdout when path is None."""
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with _writing(path), open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
-@contextlib.contextmanager
-def _writing(path):
-    """Report a failed --out write as an InputError that names the path."""
-    try:
-        yield
-    except OSError as exc:
-        raise InputError(f"cannot write {path!r}: {exc}") from exc
-
-
-def _flatten(doc, prefix="", out=None):
-    if out is None:
-        out = {}
-    for key, val in doc.items():
-        name = f"{prefix}{key}"
-        if isinstance(val, dict):
-            _flatten(val, prefix=f"{name}.", out=out)
-        elif isinstance(val, (list, tuple)):
-            for idx, item in enumerate(val):
-                if isinstance(item, (dict, list, tuple)):
-                    out[f"{name}.{idx}"] = json.dumps(item)
-                else:
-                    out[f"{name}.{idx}"] = item
-        else:
-            out[name] = val
-    return out
+    write_text(args.out, json_text(doc) if args.format == "json" else flat_csv_text(doc))
 
 
 def _fmt_cell(v):
     if isinstance(v, float):
         return f"{v:.4g}"
     return str(v)
-
-
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _experiment_network(args):
@@ -421,30 +348,36 @@ def _threads_for(args):
     if args.threads is not None:
         return args.threads
     env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            val = int(env)
-        except ValueError:
-            raise InputError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-        if val < 1:
-            raise InputError(f"{THREADS_ENV} must be >= 1, got {val}")
-        return val
-    return 1
+    if not env:
+        return 1
+    try:
+        val = int(env)
+    except ValueError:
+        raise InputError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
+    return _count(THREADS_ENV, val, 1)
 
 
 def _load_values_csv(path, labels):
-    _names, table = _load_node_table(path, labels, expected_header=["node", "value"])
+    _names, table = _load_node_table(path, labels, "values")
     return table.ravel()  # the one value column
 
 
-def _load_node_table(path, labels, expected_header=None):
+def _design_header(header):
+    if len(header) < 2 or header[0].lower() != "node":
+        return f"design header must be node,<col1>[,...], got {','.join(header)!r}"
+
+
+_NODE_TABLE_HEADERS = {"values": expect_header("node", "value"), "design": _design_header}
+
+
+def _load_node_table(path, labels, kind):
     """Column names and an (n, columns) array of a node-keyed numeric CSV.
 
-    Rows are reordered to match labels. expected_header fixes the header
-    (the values file); None accepts node,<col1>[,...] (the design file).
+    Rows are reordered to match labels. kind "values" needs the header
+    node,value; kind "design" takes node,<col1>[,...].
     """
-    header, rows = _read_csv_rows(path, expected_header)
-    kind = "design" if expected_header is None else "values"
+    rows = read_csv(path, _NODE_TABLE_HEADERS[kind])
+    _name, header = next(rows)
     seen = {}
     for rownum, row in rows:
         if len(row) != len(header) or not row[0].strip():
@@ -476,33 +409,6 @@ def _check_label_match(path, seen, labels):
         if extra:
             parts.append(f"unknown nodes: {', '.join(sorted(extra))}")
         raise InputError(f"{path}: node labels do not match the edge list ({'; '.join(parts)})")
-
-
-def _read_csv_rows(path, expected_header=None):
-    """Stripped header and numbered non-blank rows of a node-keyed CSV."""
-    try:
-        fh = open(path, "r", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot open {path!r}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if expected_header is None:
-            if len(header) < 2 or header[0].lower() != "node":
-                raise InputError(f"{path}: design header must be node,<col1>[,...], "
-                                 f"got {','.join(header)!r}")
-        elif [h.lower() for h in header] != expected_header:
-            raise InputError(
-                f"{path}: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        out = [(rownum, row) for rownum, row in enumerate(reader, start=1) if row]
-    if not out:
-        raise InputError(f"{path}: no data rows")
-    return header, out
 
 
 def _nonneg_int(text):

@@ -28,14 +28,13 @@ and builds, for each cell:
 
 from __future__ import annotations
 
-import csv
-import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._version import SCHEMA_VERSION, __version__
+from ._io import document, json_text, records_csv_text, write_text, writing
 from .deptest import _centre, _check_w, _rejects
 from .errors import (BadCovarianceError, InputError, _check_y, _choice, _count, _nonempty,
                      _real)
@@ -112,17 +111,8 @@ class ExperimentReport:
     replicates: list = field(default_factory=list)
 
     def to_json_dict(self):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "tool": "netacorr",
-            "version": __version__,
-            "name": self.name,
-            "reps": self.reps,
-            "seed": self.seed,
-            "config": self.config,
-            "rows": self.rows,
-            "replicates": self.replicates,
-        }
+        return document(name=self.name, reps=self.reps, seed=self.seed, config=self.config,
+                        rows=self.rows, replicates=self.replicates)
 
 
 def write_report(report, directory, fmt="csv"):
@@ -130,35 +120,21 @@ def write_report(report, directory, fmt="csv"):
 
     fmt "csv" writes <name>_report.csv (summary rows) and
     <name>_replicates.csv; fmt "json" writes a single <name>_report.json
-    carrying rows, replicates and configuration.
+    carrying rows, replicates and configuration. A directory or file that
+    cannot be written raises InputError naming it.
     """
-    import os
-
     _choice("fmt", fmt, ("csv", "json"))
-    os.makedirs(directory, exist_ok=True)
-    base = report.name
+    with writing(directory):
+        os.makedirs(directory, exist_ok=True)
+    base = os.path.join(directory, report.name)
     if fmt == "csv":
-        paths = []
-        for suffix, rows in (("report", report.rows), ("replicates", report.replicates)):
-            path = os.path.join(directory, f"{base}_{suffix}.csv")
-            _write_rows_csv(path, rows)
-            paths.append(path)
-        return paths
-    path = os.path.join(directory, f"{base}_report.json")
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return [path]
-
-
-def _write_rows_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        if not rows:
-            return
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+        texts = {f"{base}_report.csv": records_csv_text(report.rows),
+                 f"{base}_replicates.csv": records_csv_text(report.replicates)}
+    else:
+        texts = {f"{base}_report.json": json_text(report.to_json_dict())}
+    for path, text in texts.items():
+        write_text(path, text)
+    return list(texts)
 
 
 def run_correlation_distribution(net, settings=None, reps=500, seed=0, threads=1):
@@ -176,6 +152,7 @@ def run_correlation_distribution(net, settings=None, reps=500, seed=0, threads=1
     with cfg a TransmissionConfig or None for the iid baseline.
     """
     reps, seed = _count("reps", reps, 2), _count("seed", seed, 0)
+    threads = _count("threads", threads, 1)
     labelled = _corr_settings(settings)
     n = net.n
 
@@ -220,6 +197,7 @@ def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
     of the permutation dependence test on the same data.
     """
     reps, seed, m = _count("reps", reps, 2), _count("seed", seed, 0), _count("m", m, 1)
+    threads = _count("threads", threads, 1)
     _real("alpha", alpha, 0, 1, strict=True)
     _real("level", level, 0, 1, strict=True)
     cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
@@ -261,6 +239,7 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
     dependence test should reject at about the nominal rate.
     """
     reps, seed, m = _count("reps", reps, 2), _count("seed", seed, 0), _count("m", m, 1)
+    threads = _count("threads", threads, 1)
     _real("alpha", alpha, 0, 1, strict=True)
     _real("level", level, 0, 1, strict=True)
     cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
@@ -322,6 +301,7 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
     (control_degree=True) restores centering and coverage.
     """
     reps, seed, m = _count("reps", reps, 2), _count("seed", seed, 0), _count("m", m, 1)
+    threads = _count("threads", threads, 1)
     _real("alpha", alpha, 0, 1, strict=True)
     _real("level", level, 0, 1, strict=True)
     _real("outcome_effect", outcome_effect)
@@ -382,6 +362,7 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
     every lambda > 0.
     """
     reps, seed = _count("reps", reps, 2), _count("seed", seed, 0)
+    threads = _count("threads", threads, 1)
     _choice("estimator", estimator, ("lmm", "gls"))
     _choice("kinship", kinship, ("transmission", "adjacency"))
     for lam in _nonempty("lambdas", lambdas):
@@ -543,7 +524,7 @@ def _seed_int(exp, seed, rep, tag):
 
 
 def _map_reps(fn, reps, threads):
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, range(reps)))
     return [fn(r) for r in range(reps)]

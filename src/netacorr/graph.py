@@ -7,18 +7,16 @@ caller, so round-trips preserve identity by label rather than by index.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from ._io import expect_header, read_csv
 from .errors import DegenerateStatisticError, InputError, _choice, _count, _real
 
 __all__ = [
@@ -103,52 +101,23 @@ def load_edge_list(source):
     ------
     InputError
         On a missing/wrong header, malformed row, self-loop, or a file
-        with no data rows. Messages carry the 1-based data row number.
+        with no data rows. Messages start with the file name and carry
+        the 1-based data row number.
 
     Duplicate edges (in either orientation) are collapsed silently.
     """
-    if isinstance(source, (str, os.PathLike)):
-        try:
-            fh = open(source, "r", newline="")
-        except OSError as exc:
-            raise InputError(f"cannot open edge list {source!r}: {exc}") from exc
-        with fh:
-            return _parse_edge_rows(csv.reader(fh))
-    if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        return _parse_edge_rows(csv.reader(source))
-    raise InputError(f"unsupported edge-list source {type(source).__name__}")
-
-
-def _parse_edge_rows(rows):
-    header = next(rows, None)
-    if header is None:
-        raise InputError("empty edge-list file")
-    if [h.strip().lower() for h in header] != ["src", "dst"]:
-        raise InputError(f"expected header 'src,dst', got {','.join(header)!r}")
-    labels = []
-    index = {}
+    rows = read_csv(source, expect_header("src", "dst"))
+    name, _header = next(rows)
+    index = {}  # label -> node, in first-appearance order
     edges = set()
-    nrows = 0
-    for rownum, row in enumerate(rows, start=1):
-        if not row:
-            continue
+    for rownum, row in rows:
         if len(row) != 2 or not row[0].strip() or not row[1].strip():
-            raise InputError(f"malformed edge row {rownum}: {row!r}")
-        nrows += 1
-        ab = []
-        for lab in (row[0].strip(), row[1].strip()):
-            if lab not in index:
-                index[lab] = len(labels)
-                labels.append(lab)
-            ab.append(index[lab])
-        a, b = ab
+            raise InputError(f"{name}: malformed edge row {rownum}: {row!r}")
+        a, b = (index.setdefault(lab.strip(), len(index)) for lab in row)
         if a == b:
-            raise InputError(f"self-loop at row {rownum}: node {row[0].strip()!r}")
+            raise InputError(f"{name}: self-loop at row {rownum}: node {row[0].strip()!r}")
         edges.add((min(a, b), max(a, b)))
-    if nrows == 0:
-        raise InputError("edge-list file has a header but no data rows")
-    net = Network(n=len(labels), edges=tuple(sorted(edges)))
-    return net, labels
+    return Network(n=len(index), edges=tuple(sorted(edges))), list(index)
 
 
 def adjacency_weights(net):

@@ -91,12 +91,12 @@ def test_cli_test_csv_format(small_case, run_cli):
     code, out, _ = run_cli("test", "--edges", edges, "--values", values,
                            "--format", "csv")
     assert code == 0
-    header, data = out.strip().split("\n")
-    cols = header.split(",")
+    cols, data = csv.reader(io.StringIO(out))
     assert "result.statistic" in cols
     assert "result.p_perm" in cols
     assert "options.seed" in cols
-    assert len(data.split(",")) == len(cols)
+    assert len(data) == len(cols)
+    assert out.endswith("\r\n")  # the csv module's default dialect, as every netacorr CSV
 
 
 def test_cli_test_normal_method(small_case, run_cli):
@@ -257,6 +257,21 @@ def test_cli_values_file_errors(small_case, run_cli, tmp_path):
     assert "cannot open" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("src,dst\na,b\na,b,c\n", "malformed edge row 2"),
+    ("from,to\na,b\n", "expected header 'src,dst'"),
+    ("src,dst\n", "no data rows"),
+    ("", "empty file"),
+], ids=["malformed-row", "bad-header", "header-only", "empty"])
+def test_cli_edge_list_errors_name_the_file(small_case, run_cli, tmp_path, text, message):
+    _, _, _, _, values = small_case
+    edges = tmp_path / "bad_edges.csv"
+    edges.write_text(text)
+    code, out, err = run_cli("test", "--edges", str(edges), "--values", values)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {edges}: {message}")
+
+
 def test_cli_values_order_is_free(small_case, run_cli, tmp_path):
     net, labels, y, edges, values = small_case
     shuffled = tmp_path / "shuffled.csv"
@@ -340,6 +355,24 @@ def test_cli_residual_test(small_case, run_cli, tmp_path):
     np.testing.assert_allclose(doc["fit"]["beta"], fit.beta, atol=1e-12)
     resid_i = morans_i(fit.residuals, adjacency_weights(net))
     assert doc["result"]["statistic"] == pytest.approx(resid_i, abs=1e-12)
+
+
+def test_cli_residual_test_csv_document_parses(small_case, run_cli, tmp_path):
+    # the intervals are JSON lists, so they hold commas: each must be one cell
+    _, labels, y, edges, values = small_case
+    design = tmp_path / "design.csv"
+    _write_design(design, labels, {"x1": np.cos(np.arange(40.0)), "x2": y ** 2})
+    argv = ("residual-test", "--edges", edges, "--values", values, "--design", str(design))
+    code, out, _ = run_cli(*argv, "--format", "csv")
+    assert code == 0
+    header, data = csv.reader(io.StringIO(out))
+    assert len(data) == len(header)
+    row = dict(zip(header, data))
+    doc = json.loads(run_cli(*argv)[1])
+    for k in range(3):
+        assert json.loads(row[f"fit.ci.{k}"]) == doc["fit"]["ci"][k]
+    assert float(row["result.statistic"]) == doc["result"]["statistic"]
+    assert float(row["result.p_perm"]) == doc["result"]["p_perm"]
 
 
 def test_cli_residual_test_design_errors(small_case, run_cli, tmp_path):
@@ -604,7 +637,9 @@ def test_cli_threads_env(small_case, run_cli, monkeypatch, tmp_path):
     assert "NETACORR_THREADS" in err
 
     monkeypatch.setenv("NETACORR_THREADS", "0")
-    assert experiment()[0] == 2
+    code, _, err = experiment()
+    assert code == 2
+    assert "NETACORR_THREADS must be an integer >= 1, got 0" in err
 
     # an explicit flag wins over the environment
     monkeypatch.setenv("NETACORR_THREADS", "3")

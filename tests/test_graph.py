@@ -73,25 +73,24 @@ def test_load_edge_list_errors(tmp_path):
     with pytest.raises(InputError, match="cannot open"):
         load_edge_list(tmp_path / "missing.csv")
 
-    bad_header = tmp_path / "h.csv"
-    bad_header.write_text("from,to\na,b\n")
-    with pytest.raises(InputError, match="src,dst"):
-        load_edge_list(bad_header)
+    # every message about the file's content starts with the file's path
+    cases = [
+        ("h.csv", "from,to\na,b\n", "expected header 'src,dst', got 'from,to'"),
+        ("sl.csv", "src,dst\na,b\nc,c\n", "self-loop at row 2"),
+        ("headeronly.csv", "src,dst\n", "no data rows"),
+        ("empty.csv", "", "empty file"),
+        ("m.csv", "src,dst\na,b,c\n", "malformed edge row 1"),
+    ]
+    for name, text, message in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(InputError) as err:
+            load_edge_list(path)
+        assert str(err.value).startswith(f"{path}: {message}")
 
-    self_loop = tmp_path / "sl.csv"
-    self_loop.write_text("src,dst\na,b\nc,c\n")
-    with pytest.raises(InputError, match="row 2"):
-        load_edge_list(self_loop)
-
-    no_rows = tmp_path / "empty.csv"
-    no_rows.write_text("src,dst\n")
-    with pytest.raises(InputError, match="no data rows"):
-        load_edge_list(no_rows)
-
-    malformed = tmp_path / "m.csv"
-    malformed.write_text("src,dst\na,b,c\n")
-    with pytest.raises(InputError, match="malformed"):
-        load_edge_list(malformed)
+    # a blank row is skipped but still counted, so numbers follow the file's lines
+    with pytest.raises(InputError, match="^<stream>: malformed edge row 3"):
+        load_edge_list(io.StringIO("src,dst\na,b\n\nc\n"))
 
 
 def test_adjacency_weights_path(path4):

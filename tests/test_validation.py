@@ -155,7 +155,8 @@ CASES = [
 ]
 for name, (run, _) in RUNNERS.items():
     CASES += [(run.__name__, "reps", runner(name, "reps"), count(2)),
-              (run.__name__, "seed", runner(name, "seed"), count(0))]
+              (run.__name__, "seed", runner(name, "seed"), count(0)),
+              (run.__name__, "threads", runner(name, "threads"), count(1) + [-3, 2.5, "2", None])]
     if name != "correlation-distribution":
         CASES.append((run.__name__, "level", runner(name, "level"), real(1.0)))
     if name in ("coverage", "spurious-regression", "degree-confounding"):
