@@ -1,8 +1,9 @@
 """netacorr's file formats: the one CSV reader, CSV writer and JSON document.
 
 Every CSV is read and written in the csv module's default dialect (comma,
-CRLF line ends, quoting). A failed read or write raises InputError naming
-the file.
+CRLF line ends, quoting). Files are written as UTF-8 and read as UTF-8 with
+an optional byte-order mark. A failed read or write, or a file that is not
+UTF-8 text, raises InputError naming the file.
 """
 
 from __future__ import annotations
@@ -29,16 +30,17 @@ def expect_header(*names):
 def read_csv(source, check_header):
     """Yield a CSV's (name, stripped header), then its (row number, row) pairs.
 
-    source is a path or an open text stream, named by its path or its name
-    attribute. Rows are numbered from 1 after the header; blank rows are
-    skipped. check_header(header) returns an error message, or None. An
-    unreadable or empty source, a bad header and a header without rows each
-    raise InputError led by the name.
+    source is a path, read as UTF-8 with an optional byte-order mark, or an
+    open text stream, named by its path or its name attribute. Rows are
+    numbered from 1 after the header; blank rows are skipped.
+    check_header(header) returns an error message, or None. An unreadable,
+    undecodable or empty source, a bad header and a header without rows
+    each raise InputError led by the name.
     """
     if isinstance(source, (str, os.PathLike)):
         name = os.fspath(source)
         try:
-            opened = open(source, "r", newline="")
+            opened = open(source, "r", encoding="utf-8-sig", newline="")
         except OSError as exc:
             raise InputError(f"cannot open {name!r}: {exc}") from exc
     elif hasattr(source, "read"):
@@ -46,7 +48,7 @@ def read_csv(source, check_header):
     else:
         raise InputError(f"unsupported CSV source {type(source).__name__}")
     with opened as fh:
-        reader = csv.reader(fh)
+        reader = _decoded(csv.reader(fh), name)
         header = next(reader, None)
         if header is None:
             raise InputError(f"{name}: empty file")
@@ -62,6 +64,15 @@ def read_csv(source, check_header):
                 yield rownum, row
     if nrows == 0:
         raise InputError(f"{name}: no data rows")
+
+
+def _decoded(rows, name):
+    """rows, with a decoding error turned into an InputError naming the source."""
+    try:
+        yield from rows
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{name}: not {exc.encoding} text: {exc.reason} "
+                         f"(byte 0x{exc.object[exc.start]:02x})") from exc
 
 
 def csv_text(header, rows):
@@ -128,5 +139,5 @@ def write_text(path, text):
     if path is None:
         sys.stdout.write(text)
         return
-    with writing(path), open(path, "w", newline="") as fh:
+    with writing(path), open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)

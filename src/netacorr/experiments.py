@@ -9,7 +9,11 @@ reproducible, replicates are independent, results do not depend on the
 thread count, and the same replicate shares its noise across cells (common
 random numbers). For the transmission process that means horizon kappa
 consumes a prefix of the draws of horizon kappa' > kappa, which makes
-monotone comparisons across kappa far less noisy.
+monotone comparisons across kappa far less noisy. The permutation tests
+share their relabellings the same way: within a replicate, the tests of
+one tag in every cell run on that tag's one stream, so a runner hands all
+of them to _reject_bits at once, and each block of relabellings is drawn
+once and scored for every cell whose bit is still open.
 
 All five runners share one path, _run_study. A runner validates its
 arguments, lists its cells, and defines one_rep(r), which returns one tuple
@@ -206,15 +210,11 @@ def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
     w, s0 = _check_w(adjacency_weights(net), net.n)
 
     def one_rep(r):
-        test_seed = _seed_int(_COVER, seed, r, 1)
-        out = []
-        for cfg in cfgs:
-            y = direct_transmission(net, cfg, rng=_rng(_COVER, seed, r, 0))
-            est = mean_ci_naive(y, level=level)
-            out.append((est.mean, est.se,
-                        float(est.ci[0] <= 0.0 <= est.ci[1]),
-                        _reject(y, w, s0, m, test_seed, alpha)))
-        return out
+        ys = [direct_transmission(net, cfg, rng=_rng(_COVER, seed, r, 0)) for cfg in cfgs]
+        ests = [mean_ci_naive(y, level=level) for y in ys]
+        bits = _reject_bits(ys, w, s0, m, _seed_int(_COVER, seed, r, 1), alpha)
+        return [(est.mean, est.se, float(est.ci[0] <= 0.0 <= est.ci[1]), bit)
+                for est, bit in zip(ests, bits)]
 
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
               "level": level, "alpha": alpha, "m": m, "threads": threads}
@@ -251,20 +251,14 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
     labels = list(kappa_list) + (["permuted"] if include_permuted_baseline else [])
 
     def one_rep(r):
-        seeds = {tag: _seed_int(_SPUR, seed, r, tag) for tag in (2, 3, 4, 6, 7, 8)}
-        out = []
-        xk = yk = None
-        for cfg in cfgs:
-            x = direct_transmission(net, cfg, rng=_rng(_SPUR, seed, r, 0))
-            y = direct_transmission(net, cfg, rng=_rng(_SPUR, seed, r, 1))
-            if cfg.kappa == kmax:
-                xk, yk = x, y
-            out.append(_spurious_cells(x, y, w, s0, m, seeds[2], seeds[3], seeds[4],
-                                       level, alpha))
+        seeds = [_seed_int(_SPUR, seed, r, tag) for tag in (2, 3, 4, 6, 7, 8)]
+        pairs = [(direct_transmission(net, cfg, rng=_rng(_SPUR, seed, r, 0)),
+                  direct_transmission(net, cfg, rng=_rng(_SPUR, seed, r, 1))) for cfg in cfgs]
+        out = _spurious_cells(pairs, w, s0, m, seeds[:3], level, alpha)
         if include_permuted_baseline:
+            xk, yk = pairs[kappa_list.index(kmax)]
             perm = _rng(_SPUR, seed, r, 5).permutation(n)
-            out.append(_spurious_cells(xk, yk[perm], w, s0, m, seeds[6], seeds[7],
-                                       seeds[8], level, alpha))
+            out += _spurious_cells([(xk, yk[perm])], w, s0, m, seeds[3:], level, alpha)
         return out
 
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
@@ -278,13 +272,14 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
                                           "reject_resid"))
 
 
-def _spurious_cells(x, y, w, s0, m, sx, sy, sr, level, alpha):
-    design = np.column_stack([np.ones(len(x)), x])
-    fit = ols(y, design, level=level)
-    slope, se = float(fit.beta[1]), float(fit.se[1])
-    covered = float(fit.ci[1, 0] <= 0.0 <= fit.ci[1, 1])
-    return (slope, se, covered, _reject(x, w, s0, m, sx, alpha),
-            _reject(y, w, s0, m, sy, alpha), _reject(fit.residuals, w, s0, m, sr, alpha))
+def _spurious_cells(pairs, w, s0, m, seeds, level, alpha):
+    """One row of values per (x, y) pair: the OLS slope of y on x, then the
+    reject bits of x, y and the residuals; all x tests share the stream
+    seeds[0], all y tests seeds[1] and all residual tests seeds[2]."""
+    fits = [ols(y, np.column_stack([np.ones(len(x)), x]), level=level) for x, y in pairs]
+    tested = ([x for x, _ in pairs], [y for _, y in pairs], [fit.residuals for fit in fits])
+    bits = [_reject_bits(vs, w, s0, m, s, alpha) for vs, s in zip(tested, seeds)]
+    return [(*_slope_cell(fit), *cell_bits) for fit, *cell_bits in zip(fits, *bits)]
 
 
 def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
@@ -312,20 +307,17 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
     zdeg = standardized_degrees(net)
     rng_y = _rng(_DEGREE, seed, 0, 0)
     y = outcome_effect * zdeg + rng_y.standard_normal(n)
-    reject_y = _reject(y, w, s0, m, _seed_int(_DEGREE, seed, 0, 1), alpha)
+    [reject_y] = _reject_bits([y], w, s0, m, _seed_int(_DEGREE, seed, 0, 1), alpha)
 
     def one_rep(r):
-        out = []
-        for cfg in cfgs:
-            x = degree_confounded_covariate(net, cfg, rng=_rng(_DEGREE, seed, r, 2))
-            cols = [np.ones(n), x] + ([zdeg] if control_degree else [])
-            fit = ols(y, np.column_stack(cols), level=level)
-            slope, se = float(fit.beta[1]), float(fit.se[1])
-            covered = float(fit.ci[1, 0] <= 0.0 <= fit.ci[1, 1])
-            out.append((slope, se, covered,
-                        _reject(x, w, s0, m, _seed_int(_DEGREE, seed, r, 3), alpha),
-                        _reject(fit.residuals, w, s0, m, _seed_int(_DEGREE, seed, r, 4), alpha)))
-        return out
+        xs = [degree_confounded_covariate(net, cfg, rng=_rng(_DEGREE, seed, r, 2))
+              for cfg in cfgs]
+        fits = [ols(y, np.column_stack([np.ones(n), x] + ([zdeg] if control_degree else [])),
+                    level=level) for x in xs]
+        x_bits = _reject_bits(xs, w, s0, m, _seed_int(_DEGREE, seed, r, 3), alpha)
+        resid_bits = _reject_bits([fit.residuals for fit in fits], w, s0, m,
+                                  _seed_int(_DEGREE, seed, r, 4), alpha)
+        return [(*_slope_cell(fit), *bits) for fit, *bits in zip(fits, x_bits, resid_bits)]
 
     config = {"n": net.n, "effect_sizes": list(effect_sizes),
               "outcome_effect": outcome_effect, "noise": noise,
@@ -419,15 +411,23 @@ _STUDIES = {
 EXPERIMENT_NAMES = tuple(_STUDIES)
 
 
-def _reject(y, w, s0, m, seed, alpha):
-    """1.0 if the m-permutation Moran test under seed rejects at alpha, else 0.0.
+def _reject_bits(ys, w, s0, m, seed, alpha):
+    """Per y in ys, 1.0 if the m-permutation Moran test under seed rejects at
+    alpha, else 0.0.
 
-    w and its total s0 come from deptest._check_w, once per study run. The
-    bit is float(permutation_test(...).p_perm <= alpha) with the same m and
-    seed; the kernel stops drawing once that bit is fixed.
+    w and its total s0 come from deptest._check_w, once per study run. Each
+    bit is float(permutation_test(y, w, ...).p_perm <= alpha) with the same
+    m and seed. The tests share that one relabelling stream, so each block
+    is drawn once for all of them, and the draws stop once every bit is
+    fixed.
     """
-    d, ss = _centre(_check_y(y))
-    return float(_rejects(d, w, s0, ss, m, seed, alpha))
+    return [float(bit) for bit in _rejects([_centre(_check_y(y)) for y in ys],
+                                           w, s0, m, seed, alpha)]
+
+
+def _slope_cell(fit):
+    """(slope, se, covered) of the coefficient on x, the design's column 1."""
+    return (float(fit.beta[1]), float(fit.se[1]), float(fit.ci[1, 0] <= 0.0 <= fit.ci[1, 1]))
 
 
 def _run_study(name, one_rep, reps, seed, threads, config, cells, columns,

@@ -272,6 +272,51 @@ def test_cli_edge_list_errors_name_the_file(small_case, run_cli, tmp_path, text,
     assert err.startswith(f"error: {edges}: {message}")
 
 
+@pytest.mark.parametrize("rows", [0, 3000], ids=["first-read", "past-first-read"])
+def test_cli_latin1_edge_list_names_the_file(run_cli, tmp_path, rows):
+    # 0xe9 is latin-1 "é"; 3000 rows put it past the first buffer the reader
+    # decodes, so the error comes while rows are read, not at the header
+    edges = tmp_path / "latin.csv"
+    edges.write_bytes(b"src,dst\n" + b"".join(b"v%d,v%d\n" % (i, i + 1) for i in range(rows))
+                      + b"caf\xe9,v0\n")
+    code, out, err = run_cli("simulate", "--model", "transmission", "--edges", str(edges),
+                             "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {edges}: not utf-8 text: invalid continuation byte")
+
+
+def test_cli_byte_order_mark_is_read_past(small_case, run_cli, tmp_path):
+    _, _, _, edges, values = small_case
+    marked = {}
+    for name, path in (("edges", edges), ("values", values)):
+        marked[name] = tmp_path / f"bom_{name}.csv"
+        with open(path, "rb") as fh:
+            marked[name].write_bytes(b"\xef\xbb\xbf" + fh.read())
+    plain = run_cli("simulate", "--model", "transmission", "--edges", edges, "--seed", "1")
+    bom = run_cli("simulate", "--model", "transmission", "--edges", str(marked["edges"]),
+                  "--seed", "1")
+    assert plain[0] == 0 and bom == plain
+    code_a, out_a, _ = run_cli("test", "--edges", edges, "--values", values)
+    code_b, out_b, _ = run_cli("test", "--edges", str(marked["edges"]),
+                               "--values", str(marked["values"]))
+    assert code_a == code_b == 0
+    assert json.loads(out_a)["result"] == json.loads(out_b)["result"]
+
+
+def test_cli_reads_the_utf8_it_writes(run_cli, tmp_path):
+    edges, values = tmp_path / "edges.csv", tmp_path / "values.csv"
+    edges.write_bytes("src,dst\ncafé,naïve\nnaïve,Zoë\nZoë,café\nZoë,Ōta\n".encode())
+    code, _, _ = run_cli("simulate", "--model", "transmission", "--edges", str(edges),
+                         "--seed", "1", "--out", str(values))
+    assert code == 0
+    assert "café" in values.read_bytes().decode("utf-8")
+    with pytest.warns(UserWarning, match="n=4"):
+        code, out, err = run_cli("test", "--edges", str(edges), "--values", str(values),
+                                 "--permutations", "9")
+    assert code == 0, err
+    assert json.loads(out)["result"]["n"] == 4
+
+
 def test_cli_values_order_is_free(small_case, run_cli, tmp_path):
     net, labels, y, edges, values = small_case
     shuffled = tmp_path / "shuffled.csv"

@@ -108,17 +108,17 @@ def test_moments_match_enumeration_on_path4():
     assert abs(mom.var_i - var) < 1e-12
 
 
-def test_moments_match_enumeration_random_cases():
-    rng = np.random.default_rng(123)
-    for _ in range(8):
-        n = int(rng.integers(4, 8))
-        net = random_network(rng, n, p=0.5)
-        w = adjacency_weights(net)
-        y = rng.standard_normal(n)
-        mom = null_moments(y, w)
-        mean, var, _ = enumerate_null(y, w)
-        assert abs(mom.mean_i - mean) < 1e-10
-        assert abs(mom.var_i - var) < 1e-10
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8), is_sparse=st.booleans())
+def test_moments_match_enumeration_random_cases(seed, n, is_sparse):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n, p=0.5)
+    w = net.adjacency if is_sparse else adjacency_weights(net)
+    y = rng.standard_normal(n)
+    mom = null_moments(y, w)
+    mean, var, _ = enumerate_null(y, w)
+    assert abs(mom.mean_i - mean) < 1e-10
+    assert abs(mom.var_i - var) < 1e-10
 
 
 def test_enumeration_is_independent_of_library_order():
@@ -203,6 +203,12 @@ def test_permutation_stream_is_replicable_across_chunks():
     assert res.p_perm == (1 + hi) / (1030 + 1)
 
 
+def _null_stats(d, w, s0, ss, m, seed):
+    """Moran's I of every relabelling of a seeded test, as the library draws them."""
+    return np.concatenate([deptest._moran_rows(d[perms], w, s0, ss)
+                           for perms in deptest._relabellings(len(d), m, seed)])
+
+
 def _whole_chunks(d, m, seed):
     """The relabelled d of a seeded permutation test, one whole chunk at a time.
 
@@ -234,7 +240,7 @@ def test_sparse_permutation_stream_is_replicable_across_chunks():
     assert res.p_perm == (1 + int((dense >= i_obs).sum())) / (1030 + 1)
     _, wv, d, ss, s0 = deptest._validate(y, net.adjacency)
     assert sparse.issparse(wv)
-    drawn = np.concatenate(list(deptest._null_blocks(d, wv, s0, ss, 1030, 4)))
+    drawn = _null_stats(d, wv, s0, ss, 1030, 4)
     np.testing.assert_allclose(drawn, dense, rtol=1e-12, atol=0)
 
 
@@ -330,24 +336,34 @@ def test_detects_transmission_dependence(er_net):
     assert res.i_std > 3.0
 
 
+def _values(rng, w, kind):
+    """Node values for the early-stop properties, of one of three kinds."""
+    n = w.shape[0]
+    if kind == "integer":  # exact sums: relabellings that tie I tie it bitwise
+        y = rng.integers(-3, 4, n).astype(float)
+        y[-1] += -y.sum() % n
+        y[0] += n * (np.ptp(y) == 0)
+        return y
+    y = rng.standard_normal(n)
+    if kind == "smoothed":  # dependent values, so the test rejects often
+        y = y + 2.0 * (w @ y)
+    return y
+
+
 @settings(deadline=None, max_examples=80)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 30),
        m=st.one_of(st.integers(1, 120), st.sampled_from([511, 512, 513, 1030, 1100])),
        level=st.sampled_from(["whole", "below-one-draw", "any"]),
-       values=st.sampled_from(["normal", "smoothed", "integer"]),
+       kinds=st.lists(st.sampled_from(["normal", "smoothed", "integer"]), min_size=1,
+                      max_size=4),
        is_sparse=st.booleans(), data=st.data())
-def test_early_stop_reject_bit_equals_full_test(seed, n, m, level, values, is_sparse, data):
+def test_early_stop_reject_bit_equals_full_test(seed, n, m, level, kinds, is_sparse, data):
+    # 1-4 vectors tested on one shared stream: each bit is that of a full
+    # permutation test of the vector alone
     rng = np.random.default_rng(seed)
     net = random_network(rng, n, p=float(rng.uniform(0.1, 0.6)))
     w = net.adjacency if is_sparse else adjacency_weights(net)
-    if values == "integer":  # exact sums: relabellings that tie I tie it bitwise
-        y = rng.integers(-3, 4, n).astype(float)
-        y[-1] += -y.sum() % n
-        y[0] += n * (np.ptp(y) == 0)
-    else:
-        y = rng.standard_normal(n)
-        if values == "smoothed":  # dependent values, so the test rejects often
-            y = y + 2.0 * (w @ y)
+    ys = [_values(rng, w, kind) for kind in kinds]
     if level == "whole":  # alpha * (m + 1) is a whole number
         alpha = data.draw(st.integers(0, m)) / (m + 1.0)
     elif level == "below-one-draw":  # cap < 0: p_perm >= 1/(m+1) > alpha
@@ -357,15 +373,59 @@ def test_early_stop_reject_bit_equals_full_test(seed, n, m, level, values, is_sp
     pseed = data.draw(st.integers(0, 2**63 - 1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        full = permutation_test(y, w, PermutationConfig(m=m, seed=pseed))
-    _, wv, d, ss, s0 = deptest._validate(y, w)
-    assert deptest._rejects(d, wv, s0, ss, m, pseed, alpha) == (full.p_perm <= alpha)
+        full = [permutation_test(y, w, PermutationConfig(m=m, seed=pseed)).p_perm <= alpha
+                for y in ys]
+    checked = [deptest._validate(y, w) for y in ys]
+    _, wv, d, ss, s0 = checked[0]
+    vectors = [(d_j, ss_j) for _, _, d_j, ss_j, _ in checked]
+    assert deptest._rejects(vectors, wv, s0, m, pseed, alpha) == full
     # rng.permuted draws a chunk row by row: 64-row blocks hold the same rows
     # as whole 512-row chunks scored at once
-    blocks = np.concatenate(list(deptest._null_blocks(d, wv, s0, ss, m, pseed)))
     chunks = np.concatenate([deptest._moran_rows(dp, wv, s0, ss)
                              for dp in _whole_chunks(d, m, pseed)])
-    np.testing.assert_allclose(blocks, chunks, rtol=1e-12)
+    np.testing.assert_allclose(_null_stats(d, wv, s0, ss, m, pseed), chunks, rtol=1e-12)
+
+
+def test_shared_stream_draws_once_and_scores_each_vector_as_alone(er_net, monkeypatch):
+    # blocks drawn for k vectors = the largest single-vector count; rows
+    # scored = the sum of the single-vector counts
+    counts = {"blocks": 0, "rows": 0}
+    relabellings, moran_rows = deptest._relabellings, deptest._moran_rows
+
+    def counted_relabellings(*args):
+        for perms in relabellings(*args):
+            counts["blocks"] += 1
+            yield perms
+
+    def counted_rows(dp, *args):
+        counts["rows"] += len(dp)
+        return moran_rows(dp, *args)
+
+    monkeypatch.setattr(deptest, "_relabellings", counted_relabellings)
+    monkeypatch.setattr(deptest, "_moran_rows", counted_rows)
+    w = adjacency_weights(er_net)
+    rng = np.random.default_rng(8)
+    ys = [rng.standard_normal(er_net.n) for _ in range(3)]
+    ys += [y + s * (w @ y) for y, s in zip(ys, (0.2, 2.0))]  # one weakly, one strongly dependent
+    checked = [deptest._validate(y, w) for y in ys]
+    s0 = checked[0][4]
+    vectors = [(d, ss) for _, _, d, ss, _ in checked]
+    m, seed, alpha = 1100, 3, 0.05
+
+    def run(vs):
+        counts.update(blocks=0, rows=0)
+        bits = deptest._rejects(vs, w, s0, m, seed, alpha)
+        return bits, counts["blocks"], counts["rows"]
+
+    alone = [run([v]) for v in vectors]
+    assert len({blocks for _, blocks, _ in alone}) > 1  # some vectors close early
+    assert {bits[0] for bits, _, _ in alone} == {0, 1}
+    for k in range(1, len(vectors) + 1):
+        for picked in itertools.combinations(range(len(vectors)), k):
+            bits, blocks, rows = run([vectors[j] for j in picked])
+            assert bits == [alone[j][0][0] for j in picked]
+            assert blocks == max(alone[j][1] for j in picked)
+            assert rows == sum(alone[j][2] for j in picked)
 
 
 def test_early_stop_cap_is_the_float_boundary(monkeypatch):
@@ -373,15 +433,16 @@ def test_early_stop_cap_is_the_float_boundary(monkeypatch):
     # p-value (1 + h) / (m + 1) and one ulp below it; a closed form for cap
     # such as int(alpha * (m + 1)) - 1 gets some of these wrong
     case = {}
-    monkeypatch.setattr(deptest, "_null_blocks", lambda *args: iter(
-        [np.r_[np.full(case["h"], np.inf), np.full(case["m"] - case["h"], -np.inf)]]))
+    monkeypatch.setattr(deptest, "_relabellings", lambda *args: iter([None]))
+    monkeypatch.setattr(deptest, "_moran_rows", lambda *args: np.r_[
+        np.full(case["h"], np.inf), np.full(case["m"] - case["h"], -np.inf)])
     d, w = np.array([-1.0, 0.0, 1.0]), _adj(3, [(0, 1), (1, 2)])
     for m in range(1, 121):
         for h in range(m + 1):
             case.update(m=m, h=h)
             p = (1.0 + h) / (m + 1.0)
             for alpha in (p, np.nextafter(p, 0.0)):
-                assert deptest._rejects(d, w, 4.0, 2.0, m, 0, alpha) == (p <= alpha), (m, h)
+                assert deptest._rejects([(d, 2.0)], w, 4.0, m, 0, alpha) == [p <= alpha], (m, h)
 
 
 # ---------------------------------------------------------------------------
