@@ -47,7 +47,7 @@ from .inference import (
     _check_design,
     _gls_core,
     _gls_factor,
-    _lmm_core,
+    _lmm_cores,
     _lmm_factor,
     _z_quantile,
     mean_ci_naive,
@@ -364,22 +364,24 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
             for k in _nonempty("kappa_list", kappa_list)]
     kappa_list = [cfg.kappa for cfg in cfgs]
     n = net.n
-    core = _lmm_core if estimator == "lmm" else _gls_core
     # K depends on the cell, never on the replicate: factor it once per cell.
     factors = _cell_factors(net, kappa_list, lambdas, a, sigma, estimator, kinship)
     z = _z_quantile(level)
 
     def one_rep(r):
-        out = []
+        problems = []
         for cfg in cfgs:
             x = direct_transmission(net, cfg, rng=_rng(_GLSEXP, seed, r, 0))
             y = direct_transmission(net, cfg, rng=_rng(_GLSEXP, seed, r, 1))
             y, design, _, _ = _check_design(y, np.column_stack([np.ones(n), x]))
-            for lam in lambdas:
-                fit = core(y, design, factors[cfg.kappa, lam])
-                beta, se = (fit.beta, fit.se) if estimator == "lmm" else fit[:2]
-                slope, se = float(beta[1]), float(se[1])
-                out.append((slope, se, float(slope - z * se <= 0.0 <= slope + z * se)))
+            problems.extend((y, design, factors[cfg.kappa, lam]) for lam in lambdas)
+        # The mixed models of a replicate share one search over delta.
+        fits = ([(fit.beta, fit.se) for fit in _lmm_cores(problems)] if estimator == "lmm"
+                else [_gls_core(*problem)[:2] for problem in problems])
+        out = []
+        for beta, se in fits:
+            slope, se = float(beta[1]), float(se[1])
+            out.append((slope, se, float(slope - z * se <= 0.0 <= slope + z * se)))
         return out
 
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),

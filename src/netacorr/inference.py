@@ -7,6 +7,7 @@ as the full known error covariance rather than a shape to be rescaled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -144,15 +145,15 @@ def lmm_fit(y, x, k):
     profile is minimized by a coarse grid plus golden-section refinement on
     log(delta) in [-10, 10], with the boundary fit delta = 0 (plain ML
     regression) kept as a candidate; whichever candidate has the higher
-    likelihood wins, so the reported loglik never falls below the
-    no-random-effect fit.
+    likelihood wins, and an exact tie goes to delta = 0, so the reported
+    loglik never falls below the no-random-effect fit.
 
     Scaling K by c rescales sigma_g2 by 1/c and leaves beta, se and loglik
     unchanged (up to optimizer tolerance): only the product sigma_g2 * K
     is identified.
     """
     y, x, n, p = _check_design(y, x)
-    return _lmm_core(y, x, _lmm_factor(k, n))
+    return _lmm_cores([(y, x, _lmm_factor(k, n))])[0]
 
 
 def _lmm_factor(k, n):
@@ -166,51 +167,59 @@ def _lmm_factor(k, n):
     return np.clip(lam, 0.0, None), u
 
 
-def _lmm_core(y, x, factor):
-    """The lmm_fit of checked y, x on an _lmm_factor of k: rotate, then profile.
+def _lmm_cores(problems):
+    """The lmm_fit of each (y, x, factor) in problems, in order.
 
-    The search over log(delta) runs on weighted sums built once per fit
-    (see _outer_rows); the delta = 0 fit and the delta the search picks are
-    fitted on the residual route (_residual_fit), which reports the result.
+    y and x are checked, with one n and one p across the problems, and
+    factor is an _lmm_factor of k. Each problem is rotated and fitted at
+    delta = 0 in turn. Then one search over log(delta) runs for all of them
+    at once, on weighted sums built once per problem (see _outer_rows). The
+    fit at the delta a problem picks is made on the residual route
+    (_residual_fit), which reports the result. Batching shares numpy calls
+    only: every problem gets bit for bit the fit it gets alone.
     """
-    lam, u = factor
-    n = len(y)
-    yt = u.T @ y
-    xt = u.T @ x
-
-    # At delta = 0, s2 is the mean squared residual of the ML regression. One
-    # at the rounding level of y is noise: X fits y exactly.
-    fit0 = _residual_fit(xt, yt, lam, 0.0)
-    core0, beta0, s2_0, _ = fit0
-    if not s2_0 > np.finfo(float).eps * float(yt @ yt) / n:
-        raise NumericError(
-            "residual variance at the rounding level of y; likelihood undefined "
-            "(is the model a perfect fit?)"
-        )
-    g = _outer_rows(xt, yt - xt @ beta0)
-    m = xt.shape[1] + 1
-
-    def negll(logd):
-        v = math.exp(logd) * lam + 1.0
-        return _profile_core(((1.0 / v) @ g).tolist(), m, n, float(np.log(v).sum()))
+    rotated, fits0, outer = [], [], []
+    for y, x, (lam, u) in problems:
+        n = len(y)
+        yt = u.T @ y
+        xt = u.T @ x
+        # At delta = 0, s2 is the mean squared residual of the ML regression. One
+        # at the rounding level of y is noise: X fits y exactly.
+        fit0 = _residual_fit(xt, yt, lam, 0.0)
+        if not fit0[2] > np.finfo(float).eps * float(yt @ yt) / n:
+            raise NumericError(
+                "residual variance at the rounding level of y; likelihood undefined "
+                "(is the model a perfect fit?)"
+            )
+        rotated.append((xt, yt, lam))
+        fits0.append(fit0)
+        outer.append(_outer_rows(xt, yt - xt @ fit0[1]))
+    g = np.stack(outer)
+    lams = np.stack([lam for _, _, lam in rotated])
 
     grid = np.linspace(_LOGD_LO, _LOGD_HI, 9)
-    v = np.exp(grid)[:, None] * lam + 1.0
-    logv = np.log(v).sum(axis=1).tolist()
-    cores = [_profile_core(s, m, n, lv) for s, lv in zip(((1.0 / v) @ g).tolist(), logv)]
-    g_best = int(np.argmin(cores))
-    lo = grid[max(0, g_best - 1)]
-    hi = grid[min(len(grid) - 1, g_best + 1)]
-    delta = math.exp(_golden_min(negll, float(lo), float(hi), _GOLDEN_TOL))
+    cores = _profile_cores(g, lams, np.broadcast_to(np.exp(grid), (len(g), len(grid))))
+    best = np.reshape(cores, (len(g), len(grid))).argmin(axis=1)
+    lo = grid[np.maximum(best - 1, 0)].tolist()
+    hi = grid[np.minimum(best + 1, len(grid) - 1)].tolist()
+    # math.exp, not np.exp: numpy's SIMD exp can differ from libm in the last bit
+    logds = _golden_mins(
+        lambda ts: _profile_cores(g, lams, np.array([math.exp(t) for t in ts])[:, None]),
+        lo, hi, _GOLDEN_TOL)
 
-    fit = _residual_fit(xt, yt, lam, delta)
-    if core0 < fit[0]:
-        delta, fit = 0.0, fit0
-    core_best, beta, s2, a = fit
-    se = np.sqrt(np.diagonal(s2 * np.linalg.inv(a)))
-    loglik = -0.5 * (n * math.log(2.0 * math.pi) + n + core_best)
-    return LmmFit(beta=beta, se=se, sigma_g2=float(delta * s2),
-                  sigma_e2=float(s2), loglik=float(loglik))
+    fits = []
+    for (xt, yt, lam), fit0, logd in zip(rotated, fits0, logds):
+        delta = math.exp(logd)
+        fit = _residual_fit(xt, yt, lam, delta)
+        if fit0[0] <= fit[0]:
+            delta, fit = 0.0, fit0
+        core_best, beta, s2, a = fit
+        n = len(yt)
+        se = np.sqrt(np.diagonal(s2 * np.linalg.inv(a)))
+        loglik = -0.5 * (n * math.log(2.0 * math.pi) + n + core_best)
+        fits.append(LmmFit(beta=beta, se=se, sigma_g2=float(delta * s2),
+                           sigma_e2=float(s2), loglik=float(loglik)))
+    return fits
 
 
 def _residual_fit(xt, yt, lam, delta):
@@ -243,28 +252,41 @@ def _outer_rows(xt, r0):
     return (z[:, :, None] * z[:, None, :]).reshape(len(z), -1)
 
 
-def _profile_core(sums, m, n, logv_sum):
-    """n log(rss / n) + sum(log v) from the flat m x m weighted sums of _outer_rows.
+def _profile_cores(g, lams, e):
+    """n log(rss / n) + sum(log v) at v = e[b, j] * lams[b] + 1, as a flat
+    list in the row order of e.
 
-    rss is the last pivot of Gaussian elimination without pivoting, which is
-    safe because a is symmetric positive definite; only the upper triangle
-    is read and updated.
+    g stacks the _outer_rows of B problems, (B, n, m*m); lams stacks their
+    eigenvalues, (B, n); e holds q values of delta per problem, (B, q).
+    Each product of weights and sums is a per-problem np.matmul, the same
+    BLAS call as for that problem alone. rss is the last pivot of Gaussian
+    elimination without pivoting, which is safe because a is symmetric
+    positive definite; only the upper triangle is read and updated, and
+    every pivot is checked before it divides.
     """
+    v = e[:, :, None] * lams[:, None, :] + 1.0
+    m = math.isqrt(g.shape[2])
+    # entry (i, j) of every problem's sums, as one array over the stack
+    sums = list(np.matmul(1.0 / v, g).reshape(-1, m * m).T)
     rows = [sums[i * m:(i + 1) * m] for i in range(m)]
     for k in range(m - 1):
         rk = rows[k]
         piv = rk[k]
-        if not (piv > 0 and math.isfinite(piv)):
-            raise NumericError(
-                f"weighted normal equations singular: pivot {k} is {piv!r}")
+        for q in piv.tolist():
+            if not 0.0 < q < math.inf:
+                raise NumericError(
+                    f"weighted normal equations singular: pivot {k} is {q!r}")
         for i in range(k + 1, m):
             f = rk[i] / piv
             ri = rows[i]
             for j in range(i, m):
-                ri[j] -= f * rk[j]
-    rss = rows[-1][-1]
-    _check_s2(rss)
-    return n * math.log(rss / n) + logv_sum
+                ri[j] = ri[j] - f * rk[j]
+    n = lams.shape[1]
+    cores = []
+    for rss, lv in zip(rows[-1][-1].tolist(), np.log(v).sum(axis=-1).ravel().tolist()):
+        _check_s2(rss)
+        cores.append(n * math.log(rss / n) + lv)
+    return cores
 
 
 def _check_s2(s2):
@@ -275,25 +297,49 @@ def _check_s2(s2):
         )
 
 
-def _golden_min(f, lo, hi, tol):
+def _golden_mins(f, lo, hi, tol):
+    """Golden-section minima of B functions at once, problem i on [lo[i], hi[i]].
+
+    f maps a list of B points to the list of the B function values. Each
+    problem stops on its own once its bracket is no wider than tol; until
+    every one has stopped, a stopped problem is evaluated again at a point
+    it has already seen, and that value is dropped. Returns the midpoints
+    of the final brackets.
+    """
     gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - gr * (hi - lo)
-    d = lo + gr * (hi - lo)
+    lo, hi = list(lo), list(hi)
+    c = [h - gr * (h - l) for l, h in zip(lo, hi)]
+    d = [l + gr * (h - l) for l, h in zip(lo, hi)]
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - gr * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + gr * (hi - lo)
-            fd = f(d)
-    return (lo + hi) / 2.0
+    active = range(len(lo))
+    while True:
+        active = [i for i in active if hi[i] - lo[i] > tol]
+        if not active:
+            return [(l + h) / 2.0 for l, h in zip(lo, hi)]
+        x = list(c)
+        left = []
+        for i in active:
+            left.append(fc[i] < fd[i])
+            if left[-1]:
+                hi[i], d[i], fd[i] = d[i], c[i], fc[i]
+                c[i] = x[i] = hi[i] - gr * (hi[i] - lo[i])
+            else:
+                lo[i], c[i], fc[i] = c[i], d[i], fd[i]
+                d[i] = x[i] = lo[i] + gr * (hi[i] - lo[i])
+        fx = f(x)
+        for i, to_c in zip(active, left):
+            if to_c:
+                fc[i] = fx[i]
+            else:
+                fd[i] = fx[i]
 
 
+@functools.lru_cache
 def _z_quantile(level):
-    """Standard normal quantile of a two-sided interval at this level."""
+    """Standard normal quantile of a two-sided interval at this level.
+
+    Cached: stats.norm.ppf costs more than the rest of an ols call at n=200.
+    """
     return float(stats.norm.ppf(0.5 + level / 2.0))
 
 

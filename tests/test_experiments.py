@@ -264,6 +264,17 @@ def test_gls_experiment_factor_reuse_matches_public_fits(estimator, kinship, lam
                     float(fit.beta[1]), float(fit.se[1]), int(lo <= 0.0 <= hi))
 
 
+def test_lmm_experiment_runs_one_search_per_replicate(monkeypatch):
+    sizes = []
+    cores = experiments._lmm_cores
+    monkeypatch.setattr(experiments, "_lmm_cores",
+                        lambda problems: sizes.append(len(problems)) or cores(problems))
+    kappas, lambdas, reps = (1, 2, 3), (0.0, 0.1, 0.5), 4
+    run_gls_correction_experiment(NET, kappa_list=kappas, lambdas=lambdas, reps=reps,
+                                  seed=0, estimator="lmm", threads=2)
+    assert sizes == [len(kappas) * len(lambdas)] * reps
+
+
 @pytest.mark.parametrize("reps", [2, 7])
 @pytest.mark.parametrize("estimator,kinship,lambdas", GLS_CONFIGS)
 def test_gls_experiment_factors_each_cell_once(monkeypatch, estimator, kinship,

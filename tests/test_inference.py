@@ -1,6 +1,7 @@
 """Estimators: naive mean CI, OLS, known-covariance GLS, and the mixed model."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,8 @@ def test_lmm_zero_k_reduces_to_ols():
     x = _design(rng, n, 2)
     y = x @ np.array([1.0, 2.0]) + rng.standard_normal(n)
     fit = lmm_fit(y, x, np.zeros((n, n)))
+    # every delta ties with delta = 0 when K = 0, and the tie reports no variance
+    assert fit.sigma_g2 == 0.0
     ref = ols(y, x)
     np.testing.assert_allclose(fit.beta, ref.beta, atol=1e-10)
     rss = float(ref.residuals @ ref.residuals)
@@ -302,7 +305,7 @@ def test_lmm_fit_at_rounding_level_raises_numeric_error():
 
 
 # The search over delta runs on weighted sums (inference._outer_rows and
-# _profile_core); the tests below hold it to the residual refit it replaces.
+# _profile_cores); the tests below hold it to the residual refit it replaces.
 
 def _residual_route_lmm(y, x, k):
     """(beta, se) of lmm_fit with every search step fitted by _residual_fit."""
@@ -320,8 +323,9 @@ def _residual_route_lmm(y, x, k):
     cores = [negll(g) for g in grid]
     g_best = int(np.argmin(cores))
     lo, hi = grid[max(0, g_best - 1)], grid[min(len(grid) - 1, g_best + 1)]
-    logd = inference._golden_min(negll, float(lo), float(hi), inference._GOLDEN_TOL)
-    core_best, delta = min([(negll(logd), math.exp(logd)), (core0, 0.0)], key=lambda c: c[0])
+    logd, = inference._golden_mins(lambda ts: [negll(ts[0])], [float(lo)], [float(hi)],
+                                   inference._GOLDEN_TOL)
+    core_best, delta = min([(core0, 0.0), (negll(logd), math.exp(logd))], key=lambda c: c[0])
     _, beta, s2, a = inference._residual_fit(xt, yt, lam, delta)
     return beta, np.sqrt(np.diagonal(s2 * np.linalg.inv(a)))
 
@@ -341,12 +345,65 @@ def test_lmm_sums_route_core_matches_residual_route(seed, p, rank, logd, noise):
     yt, xt = u.T @ y, u.T @ x
     beta0 = inference._residual_fit(xt, yt, lam, 0.0)[1]
     rows = inference._outer_rows(xt, yt - xt @ beta0)
-    v = math.exp(logd) * lam + 1.0
-    got = inference._profile_core(((1.0 / v) @ rows).tolist(), p + 1, n,
-                                  float(np.log(v).sum()))
+    got, = inference._profile_cores(rows[None], lam[None], np.array([[math.exp(logd)]]))
     want = inference._residual_fit(xt, yt, lam, math.exp(logd))[0]
     # a relative error e in the residual sum of squares moves the core by n * e
     assert abs(got - want) <= 1e-9 * max(abs(want), n)
+
+
+def _batch_problem(rng, n, p, kind):
+    """(y, x, k) of one kind: "random" draws K's rank and the effect size;
+    "edge" has delta near 1e6, so the grid minimum sits at its upper end and
+    the bracket is 2.5 wide; "tie" has K = 0, so every delta ties with
+    delta = 0; "null" has K's column space orthogonal to X and to the noise,
+    so the profile rises from delta = 0 and delta = 0 wins outright."""
+    rank = {"random": int(rng.integers(0, n + 1)), "edge": n // 2, "tie": 0,
+            "null": n // 2}[kind]
+    a = rng.standard_normal((n, rank))
+    x = _design(rng, n, p)
+    eps = rng.standard_normal(n)
+    if kind == "null":
+        a -= x @ np.linalg.lstsq(x, a, rcond=None)[0]
+        eps -= a @ np.linalg.lstsq(a, eps, rcond=None)[0]
+    scale = {"random": rng.uniform(0.0, 3.0), "edge": 1e3}.get(kind, 0.0)
+    y = x @ rng.uniform(-2.0, 2.0, p) + scale * (a @ rng.standard_normal(rank)) + eps
+    return y, x, a @ a.T
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 4), n_extra=st.integers(0, 30),
+       kinds=st.lists(st.sampled_from(["random", "edge", "tie", "null"]), min_size=1,
+                      max_size=6))
+def test_lmm_batch_fits_each_problem_as_alone(seed, p, n_extra, kinds):
+    rng = np.random.default_rng(seed)
+    n = 10 + n_extra
+    drawn = [_batch_problem(rng, n, p, kind) for kind in kinds]
+    batch = inference._lmm_cores([(y, x, inference._lmm_factor(k, n)) for y, x, k in drawn])
+    for kind, (y, x, k), got in zip(kinds, drawn, batch):
+        alone = lmm_fit(y, x, k)
+        assert np.array_equal(got.beta, alone.beta) and np.array_equal(got.se, alone.se)
+        assert (got.sigma_g2, got.sigma_e2, got.loglik) == (
+            alone.sigma_g2, alone.sigma_e2, alone.loglik)
+        if kind == "edge":  # the search ran into the top of its range
+            assert math.log(got.sigma_g2 / got.sigma_e2) > inference._LOGD_HI - 1e-6
+        if kind in ("tie", "null"):
+            assert got.sigma_g2 == 0.0
+
+
+def test_lmm_batch_raises_the_error_of_its_failing_problem():
+    rng = np.random.default_rng(25)
+    n = 12
+    x = _design(rng, n, 2)
+    rounding = x @ np.array([3.0, 1.5]) * (1.0 + 1e-15 * rng.standard_normal(n))
+    factor = inference._lmm_factor(np.eye(n), n)
+    with pytest.raises(NumericError) as alone:
+        lmm_fit(rounding, x, np.eye(n))
+    good = [(y, x, factor) for y in rng.standard_normal((2, n))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as batch:
+            inference._lmm_cores([good[0], (rounding, x, factor), good[1]])
+    assert str(batch.value) == str(alone.value)
 
 
 def test_lmm_noise_scan_fails_where_the_residual_route_fails():
