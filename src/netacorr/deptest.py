@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Optional
 
@@ -213,67 +213,58 @@ def permutation_test(y, w, cfg=None):
         cfg = PermutationConfig()
     m, seed = _count("m", cfg.m, 1), _count("seed", cfg.seed, 0)
     alternative = _choice("alternative", cfg.alternative, _ALTERNATIVES)
-    y, w, d, ss, s0 = _validate(y, w)
-    n = len(y)
-    i_obs = _moran(d, w, s0, ss)
-
-    mom = i_std = p_normal = None
-    if n >= 4:
-        mom = _moments(d, w, ss, s0)
-        i_std, p_normal = _normal_tail(i_obs, mom, alternative, n)
-
-    hi = lo = 0
-    for perms in _relabellings(n, m, seed):
-        vals = _moran_rows(d[perms], w, s0, ss)
-        hi += int((vals >= i_obs).sum())
-        lo += int((vals <= i_obs).sum())
-
-    p_upper = (1.0 + hi) / (m + 1.0)
-    if alternative == "greater":
-        p_perm = p_upper
-    else:
-        p_lower = (1.0 + lo) / (m + 1.0)
-        p_perm = min(1.0, 2.0 * min(p_upper, p_lower))
-
-    return MoranResult(
-        i_stat=i_obs, n=n, s0=s0, moments=mom, i_std=i_std,
-        p_normal=p_normal, p_perm=float(p_perm), m_used=m,
-        alternative=alternative,
-    )
+    res, w, d, ss = _observed(y, w, alternative)
+    two_sided = alternative == "two-sided"
+    [hi], [lo] = _exceedances([(d, ss, res.i_stat)], w, res.s0, m, seed, m, two_sided)
+    p_perm = (1.0 + hi) / (m + 1.0)
+    if two_sided:
+        p_perm = min(1.0, 2.0 * min(p_perm, (1.0 + lo) / (m + 1.0)))
+    return replace(res, p_perm=float(p_perm), m_used=m)
 
 
-def _rejects(vectors, w, s0, m, seed, alpha):
-    """Reject bits of the upper-tail tests of permutation_test with this m
-    and seed, one per validated (d, ss) in vectors: 1 where p_perm <= alpha.
+def _rejects(ys, w, s0, m, seed, alpha):
+    """Per y in ys, 1.0 where the upper-tail permutation_test with this m
+    and seed has p_perm <= alpha, else 0.0; w and s0 come from _check_w.
 
-    The vectors share one relabelling stream, so each block of relabellings
-    is drawn once and scored for every vector still open. A test rejects
-    when its exceedance count stays at or below cap, the largest h with
-    (1 + h) / (m + 1) <= alpha in the float arithmetic of that comparison.
-    A vector closes once its count passes cap, and the draws stop when no
-    vector is open, so each bit is the one all m draws give (the stop rule
-    of Besag and Clifford, 1991, used only where the decision is fixed).
-    Each vector is scored with its own _BLOCK-row product, as alone. The
-    null moments are never computed.
+    A test rejects when its exceedance count stays at or below cap, the
+    largest h with (1 + h) / (m + 1) <= alpha in float arithmetic. Its
+    draws stop once the count passes cap (the stop rule of Besag and
+    Clifford, 1991, used only where the bit is fixed).
     """
+    vectors = [_centre(_check_y(y)) for y in ys]
     # int(alpha * (m + 1)) is never below cap: rounding moves it by far less
     # than the 1 / (m + 1) between neighbouring p-values.
     cap = int(alpha * (m + 1.0))
     while cap >= 0 and not (1.0 + cap) / (m + 1.0) <= alpha:
         cap -= 1
-    hi = [0] * len(vectors)
     if cap < 0:
-        return hi
-    i_obs = [_moran(d, w, s0, ss) for d, ss in vectors]
-    live = list(range(len(vectors)))
+        return [0.0] * len(ys)
+    hi, _ = _exceedances([(d, ss, _moran(d, w, s0, ss)) for d, ss in vectors],
+                         w, s0, m, seed, cap)
+    return [float(h <= cap) for h in hi]
+
+
+def _exceedances(vectors, w, s0, m, seed, cap, lower=False):
+    """(hi, lo): per (d, ss, i_obs) in vectors, the number of the m
+    relabellings of seed with I* >= i_obs and, if lower, with I* <= i_obs.
+
+    The vectors share the stream: each block is drawn once and scored for
+    every vector whose hi is still at most cap, as alone, and the draws
+    stop when none is.
+    """
+    hi, lo = [0] * len(vectors), [0] * len(vectors)
+    live = range(len(vectors))
     for perms in _relabellings(len(vectors[0][0]), m, seed):
         for j in live:
-            d, ss = vectors[j]
-            hi[j] += int((_moran_rows(d[perms], w, s0, ss) >= i_obs[j]).sum())
+            d, ss, i_obs = vectors[j]
+            vals = _moran_rows(d[perms], w, s0, ss)
+            hi[j] += int((vals >= i_obs).sum())
+            if lower:
+                lo[j] += int((vals <= i_obs).sum())
         live = [j for j in live if hi[j] <= cap]
         if not live:
             break
-    return [int(h <= cap) for h in hi]
+    return hi, lo
 
 
 def _relabellings(n, m, seed):
@@ -303,18 +294,37 @@ def normal_test(y, w, alternative="greater"):
     normal distribution. Requires n >= 4; warns for n < 30 where the
     approximation is poor.
     """
-    _choice("alternative", alternative, _ALTERNATIVES)
+    res, *_ = _observed(y, w, _choice("alternative", alternative, _ALTERNATIVES))
+    if res.n < 4:
+        raise InputError(f"normal test needs n >= 4, got n={res.n}")
+    return res
+
+
+def _observed(y, w, alternative):
+    """(result, w, d, ss): the MoranResult of the observed I without p_perm,
+    then the checked w and the centred values and their sum of squares.
+
+    The moments are filled when n >= 4, and i_std and p_normal when the null
+    variance is also positive and finite; for n < 30 a UserWarning then
+    points at the caller of the public test.
+    """
     y, w, d, ss, s0 = _validate(y, w)
     n = len(y)
-    if n < 4:
-        raise InputError(f"normal test needs n >= 4, got n={n}")
     i_obs = _moran(d, w, s0, ss)
-    mom = _moments(d, w, ss, s0)
-    i_std, p_normal = _normal_tail(i_obs, mom, alternative, n)
+    mom = _moments(d, w, ss, s0) if n >= 4 else None
+    i_std = p_normal = None
+    if mom is not None and 0 < mom.var_i < math.inf:
+        if n < _SMALL_N_NORMAL:
+            warnings.warn(f"normal approximation for Moran's I is unreliable at n={n} < "
+                          f"{_SMALL_N_NORMAL}; prefer the permutation p-value",
+                          UserWarning, stacklevel=3)
+        i_std = (i_obs - mom.mean_i) / math.sqrt(mom.var_i)
+        tail = stats.norm.sf(i_std if alternative == "greater" else abs(i_std))
+        p_normal = float(tail if alternative == "greater" else 2.0 * tail)
     return MoranResult(
-        i_stat=i_obs, n=n, s0=s0, moments=mom, i_std=i_std,
-        p_normal=p_normal, p_perm=None, m_used=0, alternative=alternative,
-    )
+        i_stat=i_obs, n=n, s0=s0, moments=mom, i_std=i_std, p_normal=p_normal,
+        p_perm=None, m_used=0, alternative=alternative,
+    ), w, d, ss
 
 
 def _moran(d, w, s0, ss):
@@ -344,24 +354,6 @@ def _moran_rows(dp, w, s0, ss):
         del dp
         return n * ((w.T @ dpt) * dpt).sum(axis=0) / (s0 * ss)
     return n * ((dp @ w) * dp).sum(axis=1) / (s0 * ss)
-
-
-def _normal_tail(i_obs, mom, alternative, n):
-    if mom.var_i <= 0 or not math.isfinite(mom.var_i):
-        return None, None
-    if n < _SMALL_N_NORMAL:
-        warnings.warn(
-            f"normal approximation for Moran's I is unreliable at n={n} < "
-            f"{_SMALL_N_NORMAL}; prefer the permutation p-value",
-            UserWarning,
-            stacklevel=3,
-        )
-    i_std = (i_obs - mom.mean_i) / math.sqrt(mom.var_i)
-    if alternative == "greater":
-        p = float(stats.norm.sf(i_std))
-    else:
-        p = float(2.0 * stats.norm.sf(abs(i_std)))
-    return float(i_std), p
 
 
 def _validate(y, w):

@@ -72,9 +72,11 @@ def _choice(name, value, options):
     raise InputError(f"{name} must be one of {', '.join(map(repr, options))}, got {value!r}")
 
 
-def _nonempty(name, values):
-    """values, if it holds at least one item (a study needs at least one cell)."""
-    if len(values) == 0:
+def _cells(name, values, least=1):
+    """values, if it is a list, tuple, range or 1-D array of >= least study cells."""
+    if not (isinstance(values, (list, tuple, range)) or np.ndim(values) == 1):
+        raise InputError(f"{name} must be a list of values, got {values!r}")
+    if len(values) < least:
         raise InputError(f"{name} must not be empty")
     return values
 

@@ -12,8 +12,8 @@ consumes a prefix of the draws of horizon kappa' > kappa, which makes
 monotone comparisons across kappa far less noisy. The permutation tests
 share their relabellings the same way: within a replicate, the tests of
 one tag in every cell run on that tag's one stream, so a runner hands all
-of them to _reject_bits at once, and each block of relabellings is drawn
-once and scored for every cell whose bit is still open.
+of them to deptest._rejects at once, and each block of relabellings is
+drawn once and scored for every cell whose bit is still open.
 
 All five runners share one path, _run_study. A runner validates its
 arguments, lists its cells, and defines one_rep(r), which returns one tuple
@@ -39,9 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._io import document, json_text, records_csv_text, write_text, writing
-from .deptest import _centre, _check_w, _rejects
-from .errors import (BadCovarianceError, InputError, _check_y, _choice, _count, _nonempty,
-                     _real)
+from .deptest import _check_w, _rejects
+from .errors import BadCovarianceError, InputError, _cells, _choice, _count, _real
 from .graph import adjacency_weights
 from .inference import (
     _check_design,
@@ -205,14 +204,14 @@ def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
     _real("alpha", alpha, 0, 1, strict=True)
     _real("level", level, 0, 1, strict=True)
     cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
-            for k in _nonempty("kappa_list", kappa_list)]
+            for k in _cells("kappa_list", kappa_list)]
     kappa_list = [cfg.kappa for cfg in cfgs]
     w, s0 = _check_w(adjacency_weights(net), net.n)
 
     def one_rep(r):
         ys = [direct_transmission(net, cfg, rng=_rng(_COVER, seed, r, 0)) for cfg in cfgs]
         ests = [mean_ci_naive(y, level=level) for y in ys]
-        bits = _reject_bits(ys, w, s0, m, _seed_int(_COVER, seed, r, 1), alpha)
+        bits = _rejects(ys, w, s0, m, _seed_int(_COVER, seed, r, 1), alpha)
         return [(est.mean, est.se, float(est.ci[0] <= 0.0 <= est.ci[1]), bit)
                 for est, bit in zip(ests, bits)]
 
@@ -243,22 +242,23 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
     _real("alpha", alpha, 0, 1, strict=True)
     _real("level", level, 0, 1, strict=True)
     cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
-            for k in _nonempty("kappa_list", kappa_list)]
+            for k in _cells("kappa_list", kappa_list)]
     kappa_list = [cfg.kappa for cfg in cfgs]
     w, s0 = _check_w(adjacency_weights(net), net.n)
     n = net.n
     kmax = max(kappa_list)
+    z = _z_quantile(level)
     labels = list(kappa_list) + (["permuted"] if include_permuted_baseline else [])
 
     def one_rep(r):
         seeds = [_seed_int(_SPUR, seed, r, tag) for tag in (2, 3, 4, 6, 7, 8)]
         pairs = [(direct_transmission(net, cfg, rng=_rng(_SPUR, seed, r, 0)),
                   direct_transmission(net, cfg, rng=_rng(_SPUR, seed, r, 1))) for cfg in cfgs]
-        out = _spurious_cells(pairs, w, s0, m, seeds[:3], level, alpha)
+        out = _spurious_cells(pairs, w, s0, m, seeds[:3], z, alpha)
         if include_permuted_baseline:
             xk, yk = pairs[kappa_list.index(kmax)]
             perm = _rng(_SPUR, seed, r, 5).permutation(n)
-            out += _spurious_cells([(xk, yk[perm])], w, s0, m, seeds[3:], level, alpha)
+            out += _spurious_cells([(xk, yk[perm])], w, s0, m, seeds[3:], z, alpha)
         return out
 
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
@@ -272,14 +272,15 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
                                           "reject_resid"))
 
 
-def _spurious_cells(pairs, w, s0, m, seeds, level, alpha):
+def _spurious_cells(pairs, w, s0, m, seeds, z, alpha):
     """One row of values per (x, y) pair: the OLS slope of y on x, then the
     reject bits of x, y and the residuals; all x tests share the stream
     seeds[0], all y tests seeds[1] and all residual tests seeds[2]."""
-    fits = [ols(y, np.column_stack([np.ones(len(x)), x]), level=level) for x, y in pairs]
+    fits = [ols(y, np.column_stack([np.ones(len(x)), x])) for x, y in pairs]
     tested = ([x for x, _ in pairs], [y for _, y in pairs], [fit.residuals for fit in fits])
-    bits = [_reject_bits(vs, w, s0, m, s, alpha) for vs, s in zip(tested, seeds)]
-    return [(*_slope_cell(fit), *cell_bits) for fit, *cell_bits in zip(fits, *bits)]
+    bits = [_rejects(vs, w, s0, m, s, alpha) for vs, s in zip(tested, seeds)]
+    return [(*_slope_cell(fit.beta, fit.se, z), *cell_bits)
+            for fit, *cell_bits in zip(fits, *bits)]
 
 
 def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
@@ -301,23 +302,25 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
     _real("level", level, 0, 1, strict=True)
     _real("outcome_effect", outcome_effect)
     cfgs = [ConfoundConfig(b=b, noise=noise)._checked()
-            for b in _nonempty("effect_sizes", effect_sizes)]
+            for b in _cells("effect_sizes", effect_sizes)]
     w, s0 = _check_w(adjacency_weights(net), net.n)
     n = net.n
     zdeg = standardized_degrees(net)
     rng_y = _rng(_DEGREE, seed, 0, 0)
     y = outcome_effect * zdeg + rng_y.standard_normal(n)
-    [reject_y] = _reject_bits([y], w, s0, m, _seed_int(_DEGREE, seed, 0, 1), alpha)
+    [reject_y] = _rejects([y], w, s0, m, _seed_int(_DEGREE, seed, 0, 1), alpha)
+    z = _z_quantile(level)
 
     def one_rep(r):
         xs = [degree_confounded_covariate(net, cfg, rng=_rng(_DEGREE, seed, r, 2))
               for cfg in cfgs]
-        fits = [ols(y, np.column_stack([np.ones(n), x] + ([zdeg] if control_degree else [])),
-                    level=level) for x in xs]
-        x_bits = _reject_bits(xs, w, s0, m, _seed_int(_DEGREE, seed, r, 3), alpha)
-        resid_bits = _reject_bits([fit.residuals for fit in fits], w, s0, m,
-                                  _seed_int(_DEGREE, seed, r, 4), alpha)
-        return [(*_slope_cell(fit), *bits) for fit, *bits in zip(fits, x_bits, resid_bits)]
+        fits = [ols(y, np.column_stack([np.ones(n), x] + ([zdeg] if control_degree else [])))
+                for x in xs]
+        x_bits = _rejects(xs, w, s0, m, _seed_int(_DEGREE, seed, r, 3), alpha)
+        resid_bits = _rejects([fit.residuals for fit in fits], w, s0, m,
+                              _seed_int(_DEGREE, seed, r, 4), alpha)
+        return [(*_slope_cell(fit.beta, fit.se, z), *bits)
+                for fit, *bits in zip(fits, x_bits, resid_bits)]
 
     config = {"n": net.n, "effect_sizes": list(effect_sizes),
               "outcome_effect": outcome_effect, "noise": noise,
@@ -357,11 +360,11 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
     threads = _count("threads", threads, 1)
     _choice("estimator", estimator, ("lmm", "gls"))
     _choice("kinship", kinship, ("transmission", "adjacency"))
-    for lam in _nonempty("lambdas", lambdas):
+    for lam in _cells("lambdas", lambdas):
         _real("lambda", lam, 0, 1)
     _real("level", level, 0, 1, strict=True)
     cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
-            for k in _nonempty("kappa_list", kappa_list)]
+            for k in _cells("kappa_list", kappa_list)]
     kappa_list = [cfg.kappa for cfg in cfgs]
     n = net.n
     # K depends on the cell, never on the replicate: factor it once per cell.
@@ -378,11 +381,7 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
         # The mixed models of a replicate share one search over delta.
         fits = ([(fit.beta, fit.se) for fit in _lmm_cores(problems)] if estimator == "lmm"
                 else [_gls_core(*problem)[:2] for problem in problems])
-        out = []
-        for beta, se in fits:
-            slope, se = float(beta[1]), float(se[1])
-            out.append((slope, se, float(slope - z * se <= 0.0 <= slope + z * se)))
-        return out
+        return [_slope_cell(beta, se, z) for beta, se in fits]
 
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
               "lambdas": list(lambdas), "estimator": estimator,
@@ -395,7 +394,7 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
 
 # Study name -> (runner, {CLI option: runner keyword}). The CLI passes each
 # listed option that is not None; other runner arguments keep their defaults.
-# The README's `netacorr experiment` table is generated from this one.
+# A test in test_cli.py checks the README's `netacorr experiment` table against this.
 _STUDIES = {
     "correlation-distribution": (run_correlation_distribution, {"sigmas": "settings"}),
     "coverage": (run_coverage_experiment, {
@@ -413,23 +412,11 @@ _STUDIES = {
 EXPERIMENT_NAMES = tuple(_STUDIES)
 
 
-def _reject_bits(ys, w, s0, m, seed, alpha):
-    """Per y in ys, 1.0 if the m-permutation Moran test under seed rejects at
-    alpha, else 0.0.
-
-    w and its total s0 come from deptest._check_w, once per study run. Each
-    bit is float(permutation_test(y, w, ...).p_perm <= alpha) with the same
-    m and seed. The tests share that one relabelling stream, so each block
-    is drawn once for all of them, and the draws stop once every bit is
-    fixed.
-    """
-    return [float(bit) for bit in _rejects([_centre(_check_y(y)) for y in ys],
-                                           w, s0, m, seed, alpha)]
-
-
-def _slope_cell(fit):
-    """(slope, se, covered) of the coefficient on x, the design's column 1."""
-    return (float(fit.beta[1]), float(fit.se[1]), float(fit.ci[1, 0] <= 0.0 <= fit.ci[1, 1]))
+def _slope_cell(beta, se, z):
+    """(slope, se, covered) of the coefficient on x, the design's column 1:
+    covered is 1.0 when slope -/+ z * se brackets 0."""
+    slope, se = float(beta[1]), float(se[1])
+    return slope, se, float(slope - z * se <= 0.0 <= slope + z * se)
 
 
 def _run_study(name, one_rep, reps, seed, threads, config, cells, columns,
@@ -497,7 +484,7 @@ def _corr_settings(settings):
     if settings is None:
         return list(DEFAULT_CORR_SETTINGS)
     out = [("iid", None)]
-    for s in settings:
+    for s in _cells("settings", settings, least=0):
         if isinstance(s, tuple) and len(s) == 2:
             label, cfg = s
             if cfg is not None and not isinstance(cfg, TransmissionConfig):

@@ -41,8 +41,8 @@ class Network:
     def __post_init__(self):
         object.__setattr__(self, "n", _count("n", self.n, 1))
         seen = set()
-        for e in self.edges:
-            if len(e) != 2:
+        for e in _iterable_edges(self.edges):
+            if not isinstance(e, tuple) or len(e) != 2:
                 raise InputError(f"edge {e!r} is not a pair")
             i, j = e
             if not (isinstance(i, int) and isinstance(j, int)):
@@ -61,11 +61,11 @@ class Network:
     def from_edges(cls, n, edges):
         """Build a Network from any iterable of unordered integer pairs, deduplicating."""
         canon = set()
-        for i, j in edges:
+        for e in _iterable_edges(edges):
             try:
-                i, j = operator.index(i), operator.index(j)
-            except TypeError:
-                raise InputError(f"edge {(i, j)!r} has non-integer endpoints") from None
+                i, j = map(operator.index, e)
+            except (TypeError, ValueError):
+                raise InputError(f"edge {e!r} is not a pair or has non-integer endpoints") from None
             canon.add((min(i, j), max(i, j)))
         return cls(n=n, edges=tuple(sorted(canon)))
 
@@ -80,6 +80,14 @@ class Network:
         rows = np.concatenate([e[:, 0], e[:, 1]])
         cols = np.concatenate([e[:, 1], e[:, 0]])
         return sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n))
+
+
+def _iterable_edges(edges):
+    """An iterator over edges, if it is an iterable (of edges, checked by the caller)."""
+    try:
+        return iter(edges)
+    except TypeError:
+        raise InputError(f"edges must be an iterable of (i, j) pairs, got {edges!r}") from None
 
 
 def load_edge_list(source):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateStatisticError, _count, _real
+from .errors import DegenerateStatisticError, InputError, _count, _float_array, _real
 from .graph import degrees, geodesic_distances
 
 __all__ = [
@@ -141,12 +141,20 @@ def direct_transmission(net, cfg, rng=None):
 
 
 def latent_field(z, dist, length_scale):
-    """Kernel-smooth z over the distance matrix: row-normalized exp(-d/l) weights.
+    """Kernel-smooth z (n finite values) over the n x n distance matrix dist
+    (>= 0, no NaN): row-normalized exp(-d/l) weights.
 
     Unreachable pairs (d = inf) get zero weight; the self weight is always 1,
     so the row sums never vanish.
     """
     _real("length_scale", length_scale, 0, strict=True)
+    z, dist = _float_array("z", z), _float_array("dist", dist)
+    if z.ndim != 1 or not np.isfinite(z).all():
+        raise InputError(f"z must be a 1-D array of finite values, got shape {z.shape}")
+    if dist.shape != (len(z), len(z)):
+        raise InputError(f"dist must be {len(z)}x{len(z)} to match z, got shape {dist.shape}")
+    if np.isnan(dist).any() or (dist < 0).any():
+        raise InputError("dist must be non-negative and not NaN (inf marks unreachable pairs)")
     k = np.exp(-dist / length_scale)
     return (k @ z) / k.sum(axis=1)
 

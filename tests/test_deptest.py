@@ -1,5 +1,6 @@
 """Statistic oracles, randomization moments, and the permutation engine."""
 
+import inspect
 import itertools
 import math
 import re
@@ -375,10 +376,8 @@ def test_early_stop_reject_bit_equals_full_test(seed, n, m, level, kinds, is_spa
         warnings.simplefilter("ignore", UserWarning)
         full = [permutation_test(y, w, PermutationConfig(m=m, seed=pseed)).p_perm <= alpha
                 for y in ys]
-    checked = [deptest._validate(y, w) for y in ys]
-    _, wv, d, ss, s0 = checked[0]
-    vectors = [(d_j, ss_j) for _, _, d_j, ss_j, _ in checked]
-    assert deptest._rejects(vectors, wv, s0, m, pseed, alpha) == full
+    _, wv, d, ss, s0 = deptest._validate(ys[0], w)
+    assert deptest._rejects(ys, wv, s0, m, pseed, alpha) == full
     # rng.permuted draws a chunk row by row: 64-row blocks hold the same rows
     # as whole 512-row chunks scored at once
     chunks = np.concatenate([deptest._moran_rows(dp, wv, s0, ss)
@@ -407,9 +406,7 @@ def test_shared_stream_draws_once_and_scores_each_vector_as_alone(er_net, monkey
     rng = np.random.default_rng(8)
     ys = [rng.standard_normal(er_net.n) for _ in range(3)]
     ys += [y + s * (w @ y) for y, s in zip(ys, (0.2, 2.0))]  # one weakly, one strongly dependent
-    checked = [deptest._validate(y, w) for y in ys]
-    s0 = checked[0][4]
-    vectors = [(d, ss) for _, _, d, ss, _ in checked]
+    s0 = float(w.sum())
     m, seed, alpha = 1100, 3, 0.05
 
     def run(vs):
@@ -417,12 +414,12 @@ def test_shared_stream_draws_once_and_scores_each_vector_as_alone(er_net, monkey
         bits = deptest._rejects(vs, w, s0, m, seed, alpha)
         return bits, counts["blocks"], counts["rows"]
 
-    alone = [run([v]) for v in vectors]
+    alone = [run([y]) for y in ys]
     assert len({blocks for _, blocks, _ in alone}) > 1  # some vectors close early
     assert {bits[0] for bits, _, _ in alone} == {0, 1}
-    for k in range(1, len(vectors) + 1):
-        for picked in itertools.combinations(range(len(vectors)), k):
-            bits, blocks, rows = run([vectors[j] for j in picked])
+    for k in range(1, len(ys) + 1):
+        for picked in itertools.combinations(range(len(ys)), k):
+            bits, blocks, rows = run([ys[j] for j in picked])
             assert bits == [alone[j][0][0] for j in picked]
             assert blocks == max(alone[j][1] for j in picked)
             assert rows == sum(alone[j][2] for j in picked)
@@ -436,13 +433,13 @@ def test_early_stop_cap_is_the_float_boundary(monkeypatch):
     monkeypatch.setattr(deptest, "_relabellings", lambda *args: iter([None]))
     monkeypatch.setattr(deptest, "_moran_rows", lambda *args: np.r_[
         np.full(case["h"], np.inf), np.full(case["m"] - case["h"], -np.inf)])
-    d, w = np.array([-1.0, 0.0, 1.0]), _adj(3, [(0, 1), (1, 2)])
+    y, w = np.array([-1.0, 0.0, 1.0]), _adj(3, [(0, 1), (1, 2)])
     for m in range(1, 121):
         for h in range(m + 1):
             case.update(m=m, h=h)
             p = (1.0 + h) / (m + 1.0)
             for alpha in (p, np.nextafter(p, 0.0)):
-                assert deptest._rejects([(d, 2.0)], w, 4.0, m, 0, alpha) == [p <= alpha], (m, h)
+                assert deptest._rejects([y], w, 4.0, m, 0, alpha) == [p <= alpha], (m, h)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +482,36 @@ def test_normal_test_size_requirements():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         normal_test(rng.standard_normal(30), adjacency_weights(net))  # no warning
+
+
+@pytest.mark.parametrize("alternative", ["greater", "two-sided"])
+@pytest.mark.parametrize("is_sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("n", [4, 9, 40])
+def test_permutation_and_normal_test_agree_on_the_observed_fields(n, is_sparse, alternative):
+    # both build the observed I and its normal approximation the same way
+    rng = np.random.default_rng(n)
+    net = random_network(rng, n, p=0.5)
+    w = net.adjacency if is_sparse else adjacency_weights(net)
+    y = rng.standard_normal(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        perm = permutation_test(y, w, PermutationConfig(m=19, alternative=alternative))
+        norm = normal_test(y, w, alternative)
+    assert norm.i_std is not None
+    fields = ("i_stat", "moments", "i_std", "p_normal")
+    assert [getattr(perm, f) for f in fields] == [getattr(norm, f) for f in fields]
+
+
+def test_small_n_warning_names_the_callers_line():
+    w, y = _adj(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), [1.0, 3.0, 2.0, 5.0, 4.0]
+    with pytest.warns(UserWarning, match="n=5") as perm:
+        permutation_test(y, w, PermutationConfig(m=9))
+    perm_line = inspect.currentframe().f_lineno - 1
+    with pytest.warns(UserWarning, match="n=5") as norm:
+        normal_test(y, w)
+    norm_line = inspect.currentframe().f_lineno - 1
+    assert [(r.filename, r.lineno) for r in perm] == [(__file__, perm_line)]
+    assert [(r.filename, r.lineno) for r in norm] == [(__file__, norm_line)]
 
 
 def test_normal_test_calibrated_on_iid_data(er_net):

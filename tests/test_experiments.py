@@ -350,7 +350,7 @@ def test_study_test_settings_fail_before_any_simulation(name, bad, monkeypatch):
         runner(NET, **args)
 
 
-def _full_reject_bits(ys, w, s0, m, seed, alpha):
+def _full_rejects(ys, w, s0, m, seed, alpha):
     return [float(permutation_test(y, w, PermutationConfig(m=m, seed=seed)).p_perm <= alpha)
             for y in ys]
 
@@ -362,7 +362,7 @@ def test_early_stop_reports_equal_full_permutation_tests(name, threads, monkeypa
     runner, kwargs = TESTING_STUDIES[name]
     args = {**kwargs, "reps": 12, "seed": 5, "m": 520, "alpha": 0.2, "threads": threads}
     fast = runner(NET, **args)
-    monkeypatch.setattr(experiments, "_reject_bits", _full_reject_bits)
+    monkeypatch.setattr(experiments, "_rejects", _full_rejects)
     full = runner(NET, **args)
     assert fast.rows == full.rows
     assert fast.replicates == full.replicates
@@ -378,15 +378,15 @@ def test_reject_stops_drawing_only_once_the_bit_is_fixed(monkeypatch):
     w, m = experiments.adjacency_weights(NET), 500
     s0 = float(w.sum())
     iid = np.random.default_rng(3).standard_normal(NET.n)
-    assert experiments._reject_bits([iid], w, s0, m, 11, 0.05) == [0.0]
+    assert deptest._rejects([iid], w, s0, m, 11, 0.05) == [0.0]
     assert 0 < sum(drawn) < m
     drawn.clear()
     dependent = direct_transmission(NET, TransmissionConfig(a=0.7, sigma=0.2, kappa=3, seed=1))
-    assert experiments._reject_bits([dependent], w, s0, m, 11, 0.05) == [1.0]
+    assert deptest._rejects([dependent], w, s0, m, 11, 0.05) == [1.0]
     assert sum(drawn) == m
     drawn.clear()
     # below 1 / (m + 1) no count rejects, so nothing is drawn
-    assert experiments._reject_bits([dependent], w, s0, m, 11, 0.5 / (m + 1)) == [0.0]
+    assert deptest._rejects([dependent], w, s0, m, 11, 0.5 / (m + 1)) == [0.0]
     assert drawn == []
 
 

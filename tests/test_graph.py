@@ -40,6 +40,20 @@ def test_network_rejects_bad_edges():
         Network(3, ((0, 1), (0, 1)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Network(3, None), "^edges must be an iterable of .* got None$"),
+    (lambda: Network(3, (1, 2)), "^edge 1 is not a pair$"),
+    (lambda: Network(3, ((0, 1, 2),)), r"^edge \(0, 1, 2\) is not a pair$"),
+    (lambda: Network.from_edges(3, None), "^edges must be an iterable of .* got None$"),
+    (lambda: Network.from_edges(3, 5), "^edges must be an iterable of .* got 5$"),
+    (lambda: Network.from_edges(3, [1, 2]), "^edge 1 is not a pair "),
+    (lambda: Network.from_edges(3, [(0, 1), (0, 1, 2)]), r"^edge \(0, 1, 2\) is not a pair "),
+], ids=["none", "ints", "triple", "from-none", "from-int", "from-ints", "from-triple"])
+def test_malformed_edges_name_the_edge_or_argument(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 def test_from_edges_normalizes():
     net = Network.from_edges(4, [(2, 1), (1, 2), (3, 0), (0, 3)])
     assert net.n == 4

@@ -156,6 +156,27 @@ def test_latent_field_ignores_unreachable_pairs():
     np.testing.assert_allclose(got[:2], 1.0, atol=1e-12)
 
 
+DIST3 = geodesic_distances(PATH3)
+
+
+@pytest.mark.parametrize("param, z, dist", [
+    ("dist", np.ones(4), DIST3),
+    ("z", np.ones((3, 1)), DIST3),
+    ("z", "abc", DIST3),
+    ("z", [1.0, np.nan, 2.0], DIST3),
+    ("z", [1.0, np.inf, 2.0], DIST3),
+    ("dist", np.ones(3), np.diagonal(DIST3)),
+    ("dist", np.ones(3), DIST3[:2]),
+    ("dist", np.ones(3), np.where(DIST3 == 2.0, np.nan, DIST3)),
+    ("dist", np.ones(3), -DIST3),
+    ("dist", np.ones(3), [["a"] * 3] * 3),
+], ids=["z-length", "z-2d", "z-string", "z-nan", "z-inf", "dist-1d", "dist-shape",
+        "dist-nan", "dist-negative", "dist-string"])
+def test_latent_field_rejects_bad_inputs(param, z, dist):
+    with pytest.raises(InputError, match=f"^{param} must be "):
+        latent_field(z, dist, 1.0)
+
+
 def test_latent_variable_outcome_noise_free():
     net = Network(3, ((0, 1), (1, 2)))
     cfg = LatentConfig(length_scale=1.5, noise=0.0, seed=4)

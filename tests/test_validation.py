@@ -168,6 +168,18 @@ for name, (run, _) in RUNNERS.items():
                   (run.__name__, "kappa",
                    runner(name, "kappa_list", lambda v: (1, v)), count(0))]
 
+# Each study's lists of cells, and the bad values of one: a lone number, a
+# string, None (except for settings, where None means the defaults) and a
+# generator, which has no length; the value "generator" only names that case.
+CELL_LISTS = [("coverage", "kappa_list"), ("spurious-regression", "kappa_list"),
+              ("degree-confounding", "effect_sizes"), ("gls-correction", "kappa_list"),
+              ("gls-correction", "lambdas"), ("correlation-distribution", "settings")]
+for name, param in CELL_LISTS:
+    bad = [2, 0.1, "0,1"] + ([None] if param != "settings" else [])
+    CASES += [(RUNNERS[name][0].__name__, param, runner(name, param), bad),
+              (RUNNERS[name][0].__name__, param,
+               runner(name, param, lambda v: (c for c in (1, 2))), ["generator"])]
+
 BAD = [(call, param, value) for _, param, call, values in CASES for value in values]
 IDS = [f"{entry}-{param}={value!r}" for entry, param, _, values in CASES for value in values]
 
