@@ -341,10 +341,10 @@ def _moran_rows(dp, w, s0, ss):
 
     For dense w the expression repeats :func:`_moran` term for term, so
     inputs where the arithmetic is exact (small integer-valued y) tie
-    bitwise with the observed I. For sparse w it scores one C-ordered
-    (n, rows) copy of dp, which spares the transpose copy and mixed-order
-    product behind scipy's ``dp @ w``; its sums run in another order than
-    :func:`_moran`'s, so there only exact inputs tie bitwise.
+    bitwise with the observed I. For sparse w it scores a C-ordered (n, rows)
+    copy x of dp as ``x' (w x)``, with no transposed product or ``w.T`` per
+    call (for symmetric w, bit for bit ``x' w' x``); its sums run in another
+    order than :func:`_moran`'s, so there only exact inputs tie bitwise.
     """
     n = dp.shape[1]
     if sparse.issparse(w):
@@ -352,7 +352,7 @@ def _moran_rows(dp, w, s0, ss):
         # Free the row-major block before the product: holding it measured
         # 40% slower per permutation_test call at n=8000.
         del dp
-        return n * ((w.T @ dpt) * dpt).sum(axis=0) / (s0 * ss)
+        return n * ((w @ dpt) * dpt).sum(axis=0) / (s0 * ss)
     return n * ((dp @ w) * dp).sum(axis=1) / (s0 * ss)
 
 

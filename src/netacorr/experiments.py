@@ -13,7 +13,7 @@ monotone comparisons across kappa far less noisy. The permutation tests
 share their relabellings the same way: within a replicate, the tests of
 one tag in every cell run on that tag's one stream, so a runner hands all
 of them to deptest._rejects at once, and each block of relabellings is
-drawn once and scored for every cell whose bit is still open.
+drawn once and scored on the CSR adjacency for every cell still open.
 
 All five runners share one path, _run_study. A runner validates its
 arguments, lists its cells, and defines one_rep(r), which returns one tuple
@@ -41,7 +41,7 @@ import numpy as np
 from ._io import document, json_text, records_csv_text, write_text, writing
 from .deptest import _check_w, _rejects
 from .errors import BadCovarianceError, InputError, _cells, _choice, _count, _real
-from .graph import adjacency_weights
+from .graph import _edge_weights, adjacency_weights
 from .inference import (
     _check_design,
     _gls_core,
@@ -206,7 +206,7 @@ def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
     cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
             for k in _cells("kappa_list", kappa_list)]
     kappa_list = [cfg.kappa for cfg in cfgs]
-    w, s0 = _check_w(adjacency_weights(net), net.n)
+    w, s0 = _check_w(_edge_weights(net), net.n)
 
     def one_rep(r):
         ys = [direct_transmission(net, cfg, rng=_rng(_COVER, seed, r, 0)) for cfg in cfgs]
@@ -244,7 +244,7 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
     cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
             for k in _cells("kappa_list", kappa_list)]
     kappa_list = [cfg.kappa for cfg in cfgs]
-    w, s0 = _check_w(adjacency_weights(net), net.n)
+    w, s0 = _check_w(_edge_weights(net), net.n)
     n = net.n
     kmax = max(kappa_list)
     z = _z_quantile(level)
@@ -303,7 +303,7 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
     _real("outcome_effect", outcome_effect)
     cfgs = [ConfoundConfig(b=b, noise=noise)._checked()
             for b in _cells("effect_sizes", effect_sizes)]
-    w, s0 = _check_w(adjacency_weights(net), net.n)
+    w, s0 = _check_w(_edge_weights(net), net.n)
     n = net.n
     zdeg = standardized_degrees(net)
     rng_y = _rng(_DEGREE, seed, 0, 0)

@@ -40,8 +40,9 @@ class Network:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _count("n", self.n, 1))
+        object.__setattr__(self, "edges", tuple(_iterable_edges(self.edges)))
         seen = set()
-        for e in _iterable_edges(self.edges):
+        for e in self.edges:
             if not isinstance(e, tuple) or len(e) != 2:
                 raise InputError(f"edge {e!r} is not a pair")
             i, j = e

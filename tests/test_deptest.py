@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse, stats
 
 from netacorr import (
@@ -670,22 +670,72 @@ def test_sparse_weights_match_dense_asymmetric(seed, n):
         _sparse_agrees(y, w, close, exact=False)
 
 
+def _exact_y(rng, n):
+    """Small integers with an integer mean and a spread: with 0/1 weights
+    every sum of the statistics is exact."""
+    y = rng.integers(-3, 4, n).astype(float)
+    y[-1] += -y.sum() % n
+    if np.ptp(y) == 0:
+        y[0] += n
+    return y
+
+
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 30))
 def test_sparse_weights_tie_dense_bitwise_when_exact(seed, n):
     # 0/1 weights and integer y with an integer mean keep every sum exact.
     rng = np.random.default_rng(seed)
     net = random_network(rng, n, p=float(rng.uniform(0.1, 0.6)))
-    y = rng.integers(-3, 4, n).astype(float)
-    y[-1] += -y.sum() % n
-    if np.ptp(y) == 0:
-        y[0] += n
+    y = _exact_y(rng, n)
     w = adjacency_weights(net)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         _sparse_agrees(y, w, lambda a, b: a == b, exact=True)
-        cfg = PermutationConfig(m=600, seed=3)
-        assert permutation_test(y, net.adjacency, cfg) == permutation_test(y, w, cfg)
+
+
+def _network(kind, n, rng):
+    if kind == "star":
+        return Network(n, tuple((0, j) for j in range(1, n)))
+    if kind == "complete":
+        return Network(n, tuple(itertools.combinations(range(n), 2)))
+    return random_network(rng, n, p=float(rng.uniform(0.05, 0.5)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40),
+       kind=st.sampled_from(["random", "star", "complete"]), m=st.integers(1, 600))
+@example(seed=0, n=40, kind="star", m=600)
+@example(seed=1, n=4, kind="complete", m=1)
+def test_sparse_adjacency_scores_like_the_dense_one(seed, n, kind, m):
+    # The studies test on net.adjacency. Exact sums keep the ties of a star
+    # (n values of I) and of a complete graph (one value) ties under both
+    # layouts, so the results match.
+    rng = np.random.default_rng(seed)
+    net = _network(kind, n, rng)
+    y = _exact_y(rng, n)
+    w = adjacency_weights(net)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for alternative in ("greater", "two-sided"):
+            cfg = PermutationConfig(m=m, seed=seed, alternative=alternative)
+            res = permutation_test(y, net.adjacency, cfg)
+            assert res == permutation_test(y, w, cfg)
+            assert 1.0 / (m + 1) <= res.p_perm <= 1.0
+    # On real-valued y the kernels agree to 1e-12 of the sum of absolute
+    # terms, for the adjacency and for an asymmetric w with random weights.
+    asym = rng.uniform(0.1, 5.0, (n, n)) * (rng.random((n, n)) < 0.3)
+    np.fill_diagonal(asym, 0.0)
+    asym[0, 1] = 1.0
+    d = rng.standard_normal(n)
+    d -= d.mean()
+    ss = float(d @ d)
+    dp = d[rng.permuted(np.tile(np.arange(n), (64, 1)), axis=1)]
+    for dense in (w, asym):
+        s0 = float(dense.sum())
+        sp, _ = deptest._check_w(sparse.csr_array(dense), n)
+        terms = n * ((np.abs(dp) @ dense) * np.abs(dp)).sum(axis=1) / (s0 * ss)
+        gap = np.abs(deptest._moran_rows(dp, sp, s0, ss) - deptest._moran_rows(dp, dense, s0, ss))
+        assert np.all(gap <= 1e-12 * terms)
 
 
 @pytest.mark.parametrize("bad, y, error", [

@@ -25,7 +25,7 @@ from netacorr import (
     permutation_test,
     transmission_covariance,
 )
-from netacorr import deptest, experiments, inference
+from netacorr import deptest, experiments, graph, inference
 from netacorr.experiments import (
     DEFAULT_CORR_SETTINGS,
     run_correlation_distribution,
@@ -343,11 +343,27 @@ def test_study_test_settings_fail_before_any_simulation(name, bad, monkeypatch):
         raise AssertionError("the study simulated before checking its arguments")
 
     monkeypatch.setattr(experiments, "_rng", simulated)
-    monkeypatch.setattr(experiments, "adjacency_weights", simulated)
+    monkeypatch.setattr(experiments, "_edge_weights", simulated)
     runner, kwargs = TESTING_STUDIES[name]
     args = {**kwargs, "reps": 4, "seed": 0, **bad}
     with pytest.raises(InputError, match=f"^{next(iter(bad))} "):
         runner(NET, **args)
+
+
+@pytest.mark.parametrize("name", TESTING_STUDIES)
+def test_testing_studies_score_on_the_sparse_adjacency(name, monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("the study built the dense n x n weights")
+
+    monkeypatch.setattr(experiments, "adjacency_weights", dense)
+    monkeypatch.setattr(graph, "adjacency_weights", dense)
+    checked = []
+    check_w = experiments._check_w
+    monkeypatch.setattr(experiments, "_check_w",
+                        lambda w, n: checked.append(w is NET.adjacency) or check_w(w, n))
+    runner, kwargs = TESTING_STUDIES[name]
+    runner(NET, **{**kwargs, "reps": 2, "seed": 0})
+    assert checked == [True]
 
 
 def _full_rejects(ys, w, s0, m, seed, alpha):

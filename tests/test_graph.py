@@ -54,6 +54,14 @@ def test_malformed_edges_name_the_edge_or_argument(call, message):
         call()
 
 
+def test_network_stores_edges_as_a_tuple():
+    listed = Network(3, [(0, 1), (1, 2)])
+    assert listed.edges == ((0, 1), (1, 2))
+    assert listed == Network(3, ((0, 1), (1, 2)))
+    assert hash(listed) == hash(Network(3, ((0, 1), (1, 2))))
+    assert Network(3, iter([(0, 1)])).edges == ((0, 1),)
+
+
 def test_from_edges_normalizes():
     net = Network.from_edges(4, [(2, 1), (1, 2), (3, 0), (0, 3)])
     assert net.n == 4
