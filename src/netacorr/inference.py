@@ -171,35 +171,36 @@ def _lmm_cores(problems):
     """The lmm_fit of each (y, x, factor) in problems, in order.
 
     y and x are checked, with one n and one p across the problems, and
-    factor is an _lmm_factor of k. Each problem is rotated and fitted at
-    delta = 0 in turn. Then one search over log(delta) runs for all of them
-    at once, on weighted sums built once per problem (see _outer_rows). The
-    fit at the delta a problem picks is made on the residual route
-    (_residual_fit), which reports the result. Batching shares numpy calls
-    only: every problem gets bit for bit the fit it gets alone.
+    factor is an _lmm_factor of k. After each problem's rotation, one stack
+    carries them all: a stacked delta = 0 fit, its weighted sums
+    (_outer_rows), the search over log(delta), one _profile_cores call that
+    scores delta = 0 against the delta found (an exact tie goes to 0), and
+    beta = beta0 + a^-1 b from the sums at the winner. s2 is the weighted
+    mean square of the residuals there: the Schur complement would cancel
+    digits at large delta. Every problem gets bit for bit its lone fit.
     """
-    rotated, fits0, outer = [], [], []
-    for y, x, (lam, u) in problems:
-        n = len(y)
-        yt = u.T @ y
-        xt = u.T @ x
-        # At delta = 0, s2 is the mean squared residual of the ML regression. One
-        # at the rounding level of y is noise: X fits y exactly.
-        fit0 = _residual_fit(xt, yt, lam, 0.0)
-        if not fit0[2] > np.finfo(float).eps * float(yt @ yt) / n:
-            raise NumericError(
-                "residual variance at the rounding level of y; likelihood undefined "
-                "(is the model a perfect fit?)"
-            )
-        rotated.append((xt, yt, lam))
-        fits0.append(fit0)
-        outer.append(_outer_rows(xt, yt - xt @ fit0[1]))
-    g = np.stack(outer)
-    lams = np.stack([lam for _, _, lam in rotated])
+    yt = np.stack([u.T @ y for y, _, (_, u) in problems])
+    xt = np.stack([u.T @ x for _, x, (_, u) in problems])
+    lams = np.stack([lam for _, _, (lam, _) in problems])
+    size, n = lams.shape
+    xtt = np.swapaxes(xt, 1, 2)
+    try:
+        beta0 = np.linalg.solve(xtt @ xt, xtt @ yt[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"weighted normal equations singular: {exc}") from exc
+    r0 = yt - (xt @ beta0[..., None])[..., 0]
+    # At delta = 0, s2 is the mean squared residual of the ML regression. One
+    # at the rounding level of y is noise: X fits y exactly.
+    if not np.all(np.mean(r0 * r0, axis=1) > np.finfo(float).eps * np.sum(yt * yt, axis=1) / n):
+        raise NumericError(
+            "residual variance at the rounding level of y; likelihood undefined "
+            "(is the model a perfect fit?)"
+        )
+    g = _outer_rows(xt, r0)
 
     grid = np.linspace(_LOGD_LO, _LOGD_HI, 9)
-    cores = _profile_cores(g, lams, np.broadcast_to(np.exp(grid), (len(g), len(grid))))
-    best = np.reshape(cores, (len(g), len(grid))).argmin(axis=1)
+    cores = _profile_cores(g, lams, np.broadcast_to(np.exp(grid), (size, len(grid))))
+    best = np.reshape(cores, (size, len(grid))).argmin(axis=1)
     lo = grid[np.maximum(best - 1, 0)].tolist()
     hi = grid[np.minimum(best + 1, len(grid) - 1)].tolist()
     # math.exp, not np.exp: numpy's SIMD exp can differ from libm in the last bit
@@ -207,49 +208,39 @@ def _lmm_cores(problems):
         lambda ts: _profile_cores(g, lams, np.array([math.exp(t) for t in ts])[:, None]),
         lo, hi, _GOLDEN_TOL)
 
-    fits = []
-    for (xt, yt, lam), fit0, logd in zip(rotated, fits0, logds):
-        delta = math.exp(logd)
-        fit = _residual_fit(xt, yt, lam, delta)
-        if fit0[0] <= fit[0]:
-            delta, fit = 0.0, fit0
-        core_best, beta, s2, a = fit
-        n = len(yt)
-        se = np.sqrt(np.diagonal(s2 * np.linalg.inv(a)))
-        loglik = -0.5 * (n * math.log(2.0 * math.pi) + n + core_best)
-        fits.append(LmmFit(beta=beta, se=se, sigma_g2=float(delta * s2),
-                           sigma_e2=float(s2), loglik=float(loglik)))
-    return fits
-
-
-def _residual_fit(xt, yt, lam, delta):
-    """(profile core, beta, s2, a) at delta by solving the weighted normal
-    equations a beta = X'V^-1 y and refitting the residuals."""
-    v = delta * lam + 1.0
-    xw = xt / v[:, None]
-    a = xt.T @ xw
-    try:
-        beta = np.linalg.solve(a, xw.T @ yt)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"weighted normal equations singular: {exc}") from exc
-    r = yt - xt @ beta
-    s2 = float(np.mean(r * r / v))
-    _check_s2(s2)
-    return len(yt) * math.log(s2) + float(np.log(v).sum()), beta, s2, a
+    found = np.array([math.exp(t) for t in logds])
+    cores = np.reshape(_profile_cores(g, lams, np.column_stack([np.zeros(size), found])),
+                       (size, 2))
+    delta = np.where(cores[:, 1] < cores[:, 0], found, 0.0)
+    m = xt.shape[2] + 1
+    v = delta[:, None] * lams + 1.0
+    sums = np.matmul((1.0 / v)[:, None, :], g).reshape(-1, m, m)
+    # _profile_cores has checked every pivot of a at this delta
+    a, b = sums[:, :-1, :-1], sums[:, :-1, -1:]
+    step = np.linalg.solve(a, b)
+    r = r0 - (xt @ step)[..., 0]
+    s2 = np.mean(r * r / v, axis=1)
+    _check_s2(s2.tolist())
+    se = np.sqrt(s2[:, None] * np.diagonal(np.linalg.inv(a), axis1=1, axis2=2))
+    loglik = -0.5 * (n * math.log(2.0 * math.pi) + n + cores.min(axis=1))
+    return [LmmFit(beta=beta, se=se_i, sigma_g2=float(d * s), sigma_e2=float(s),
+                   loglik=float(ll))
+            for beta, se_i, d, s, ll in zip(beta0 + step[..., 0], se, delta, s2, loglik)]
 
 
 def _outer_rows(xt, r0):
-    """Row i holds the outer product of z_i = [xt_i, r0_i] with itself, flattened.
+    """Row i of problem j holds the outer product of z_i = [xt_i, r0_i] with
+    itself, flattened: (B, n, m*m) for B stacked problems, m = p + 1.
 
-    With w = 1/v, w @ rows is the (p+1) x (p+1) matrix [[a, b], [b', c]] of
+    With w = 1/v, w @ rows is the m x m matrix [[a, b], [b', c]] of
     weighted sums: a = X'WX, b = X'W r0 and c = r0'W r0. As y - X beta =
     r0 - X (beta - beta0), the weighted residual sum of squares of y is the
     Schur complement c - b'a^-1 b. Building on the delta = 0 residuals r0
     rather than y keeps b small next to c, so the subtraction cancels no
     digits even when X explains nearly all of y.
     """
-    z = np.column_stack([xt, r0])
-    return (z[:, :, None] * z[:, None, :]).reshape(len(z), -1)
+    z = np.concatenate([xt, r0[..., None]], axis=2)
+    return (z[..., :, None] * z[..., None, :]).reshape(*z.shape[:2], -1)
 
 
 def _profile_cores(g, lams, e):
@@ -282,15 +273,15 @@ def _profile_cores(g, lams, e):
             for j in range(i, m):
                 ri[j] = ri[j] - f * rk[j]
     n = lams.shape[1]
-    cores = []
-    for rss, lv in zip(rows[-1][-1].tolist(), np.log(v).sum(axis=-1).ravel().tolist()):
-        _check_s2(rss)
-        cores.append(n * math.log(rss / n) + lv)
-    return cores
+    rss = rows[-1][-1].tolist()
+    _check_s2(rss)
+    lvs = np.log(v).sum(axis=-1).ravel().tolist()
+    return [n * math.log(r / n) + lv for r, lv in zip(rss, lvs)]
 
 
 def _check_s2(s2):
-    if not (s2 > 0 and math.isfinite(s2)):
+    """Raise NumericError unless every residual variance in the list s2 is > 0 and finite."""
+    if not all(0.0 < s < math.inf for s in s2):
         raise NumericError(
             "zero or non-finite residual variance; likelihood undefined "
             "(is the model a perfect fit?)"

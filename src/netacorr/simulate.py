@@ -10,6 +10,7 @@ comparisons across horizons share noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -111,6 +112,10 @@ def transmission_covariance(net, a, sigma, kappa):
     scrub accumulated rounding).
     """
     kappa = TransmissionConfig(a=a, sigma=sigma, kappa=kappa)._checked().kappa
+    # Entries of Sigma + Sigma' reach 2 (1 + sigma^2 kappa); sigma**2 is taken even at kappa 0
+    if not math.isfinite(2.0 * (1.0 + float(sigma) * float(sigma) * max(kappa, 1))):
+        raise InputError(f"sigma is too large: sigma={sigma!r} overflows the transmission "
+                         f"covariance at kappa={kappa}")
     t = transmission_operator(net, a)
     m = net.n
     tk = np.eye(m)

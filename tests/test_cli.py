@@ -466,6 +466,17 @@ def test_cli_experiment_scale_driven_rank_failure_exit_code(run_cli, tmp_path):
     assert not results.exists()
 
 
+def test_cli_experiment_sigma_overflowing_the_covariance_exit_code(run_cli, tmp_path):
+    # sigma**2 overflows a float at sigma = 1e200; the transmission covariance
+    # names sigma instead of ending in an OverflowError traceback
+    results = tmp_path / "results"
+    code, out, err = run_cli("experiment", "gls-correction", "--sigma", "1e200",
+                             "--n", "30", "--reps", "2", "--out", str(results))
+    assert code == 2 and out == ""
+    assert err.startswith("error: sigma is too large") and "sigma=1e+200" in err
+    assert not results.exists()
+
+
 def test_cli_experiment_gls_adjacency_kinship_exit_code(run_cli, tmp_path):
     # the clipped adjacency kinship is singular at lambda = 0, which gls
     # cannot factor: exit 2 with the lambda and the way out named

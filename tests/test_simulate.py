@@ -70,6 +70,14 @@ def test_transmission_covariance_kappa_zero_is_identity():
     )
 
 
+def test_transmission_covariance_refuses_a_sigma_that_overflows_it():
+    # entries reach 1 + sigma^2 kappa; past the float range sigma is named
+    for sigma, kappa in ((1e200, 0), (1e200, 1), (1e154, 1), (1e153, 100)):
+        with pytest.raises(InputError, match="sigma is too large: sigma=1e"):
+            transmission_covariance(PATH3, 0.5, sigma, kappa)
+    assert np.all(np.isfinite(transmission_covariance(PATH3, 0.5, 1e153, 3)))
+
+
 def test_transmission_covariance_matches_simulation():
     # empirical covariance over many replicates vs the closed form
     rng = np.random.default_rng(14)
