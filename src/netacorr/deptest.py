@@ -396,8 +396,17 @@ def _check_w(w, n):
 
 
 def _centre(y):
-    """Centred values d of a checked y and their sum of squares ss."""
+    """Centred values d of a checked y and their sum of squares ss.
+
+    y is scaled by a power of two before centring, so its mean cannot
+    overflow, and d again after, so max |d| lies in [1/2, 1): then ss, d'wd
+    and the sum of d^4 can neither overflow nor go subnormal for any finite
+    y. A power-of-two scale is exact, and every statistic and moment is of
+    degree 0 in d, so the scale moves no result.
+    """
+    y = np.ldexp(y, -math.frexp(float(np.abs(y).max()))[1])
     d = y - y.mean()
+    d = np.ldexp(d, -math.frexp(float(np.abs(d).max()))[1])
     ss = float(d @ d)
     if ss == 0.0:
         raise DegenerateStatisticError("zero-variance values: statistic undefined")

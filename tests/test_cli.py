@@ -420,6 +420,49 @@ def test_cli_residual_test_csv_document_parses(small_case, run_cli, tmp_path):
     assert float(row["result.p_perm"]) == doc["result"]["p_perm"]
 
 
+def _strict_json(text):
+    """text parsed as JSON, refusing the bare NaN and Infinity of json.dumps."""
+
+    def refuse(name):
+        raise ValueError(f"document holds a bare {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_test_with_one_value_at_1e200_writes_finite_strict_json(small_case, run_cli,
+                                                                     tmp_path):
+    net, labels, y, edges, _ = small_case
+    big = y.copy()
+    big[0] = 1e200
+    values = tmp_path / "big.csv"
+    _write_values(values, labels, big)
+    code, out, err = run_cli("test", "--edges", edges, "--values", str(values),
+                             "--method", "both")
+    assert code == 0
+    assert "Warning" not in err
+    res = _strict_json(out)["result"]
+    want = morans_i(big / 2.0**700, adjacency_weights(net))
+    assert res["statistic"] == pytest.approx(want, abs=1e-12)
+    assert 0.0 < res["var_null"] < 1.0 and 0.0 < res["p_perm"] <= 1.0
+
+
+def test_cli_residual_test_of_values_times_1e100_gives_the_unscaled_statistic(
+        small_case, run_cli, tmp_path):
+    # the residuals' sum of squares is near 1e201, so its square overflowed
+    _, labels, y, edges, values = small_case
+    design = tmp_path / "design.csv"
+    _write_design(design, labels, {"x1": np.cos(np.arange(40.0))})
+    scaled = tmp_path / "scaled.csv"
+    _write_values(scaled, labels, y * 1e100)
+    runs = [run_cli("residual-test", "--edges", edges, "--values", v, "--design", str(design),
+                    "--method", "both") for v in (values, str(scaled))]
+    assert [code for code, _, _ in runs] == [0, 0]
+    plain, big = (_strict_json(out)["result"] for _, out, _ in runs)
+    for key in ("statistic", "var_null", "p_normal"):
+        assert big[key] == pytest.approx(plain[key], abs=1e-12), key
+    assert big["p_perm"] == plain["p_perm"]
+
+
 def test_cli_residual_test_design_errors(small_case, run_cli, tmp_path):
     _, labels, _, edges, values = small_case
     bad = tmp_path / "bad.csv"

@@ -557,6 +557,45 @@ def test_affine_invariance_sample():
             assert abs(gearys_c(y, w) - gearys_c(scale * y + shift, w)) < 1e-12
 
 
+_SCALE_NET = generate_random_network(30, model="erdos-renyi", p=0.15, seed=1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(k=st.integers(-1000, 1000), seed=st.integers(0, 2**32 - 1), sparse_w=st.booleans())
+@example(k=-1000, seed=0, sparse_w=False)
+@example(k=1000, seed=0, sparse_w=True)
+def test_power_of_two_scale_of_y_moves_no_result(k, seed, sparse_w):
+    # _centre rescales y and d by powers of two, so y * 2^k gives the unscaled
+    # statistics over the whole float range: no overflow at k = 1000 (d'd
+    # near 1e602 before) and no subnormal sums at k = -1000
+    w = adjacency_weights(_SCALE_NET)
+    w = sparse.csr_array(w) if sparse_w else w
+    y = np.random.default_rng(seed).standard_normal(_SCALE_NET.n)
+    scaled = np.ldexp(y, k)
+    cfg = PermutationConfig(m=99, seed=seed % 1000, alternative="two-sided")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)
+        assert abs(morans_i(scaled, w) - morans_i(y, w)) < 1e-12
+        assert abs(gearys_c(scaled, w) - gearys_c(y, w)) < 1e-12
+        got, want = null_moments(scaled, w), null_moments(y, w)
+        assert abs(got.var_i - want.var_i) < 1e-12 and abs(got.b2 - want.b2) < 1e-12
+        assert permutation_test(scaled, w, cfg).p_perm == permutation_test(y, w, cfg).p_perm
+
+
+def test_values_near_the_float_max_give_finite_statistics():
+    # the mean of two values near 1.8e308 overflows unless y is scaled first
+    w = adjacency_weights(_SCALE_NET)
+    y = np.random.default_rng(8).standard_normal(_SCALE_NET.n)
+    y[:2] = np.finfo(float).max, -np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)
+        res = permutation_test(y, w, PermutationConfig(m=99))
+    assert all(math.isfinite(v) for v in (res.i_stat, res.moments.var_i, res.p_normal))
+    assert res.i_stat == morans_i(y / 2.0**1000, w)
+
+
 def test_weight_scale_invariance_sample():
     rng = np.random.default_rng(72)
     for _ in range(10):
