@@ -132,7 +132,7 @@ def _gls_core(y, x, cf):
 
 
 _LOGD_LO, _LOGD_HI = -10.0, 10.0
-_GOLDEN_TOL = 1e-8
+_GOLDEN_TOL = 1e-6
 
 
 def lmm_fit(y, x, k):
@@ -143,14 +143,14 @@ def lmm_fit(y, x, k):
     profiles beta and sigma_e2 out of the Gaussian likelihood, leaving a
     1-D problem in the variance ratio delta = sigma_g2 / sigma_e2. That
     profile is minimized by a coarse grid plus golden-section refinement on
-    log(delta) in [-10, 10], with the boundary fit delta = 0 (plain ML
-    regression) kept as a candidate; whichever candidate has the higher
-    likelihood wins, and an exact tie goes to delta = 0, so the reported
-    loglik never falls below the no-random-effect fit.
+    log(delta) in [-10, 10] to a bracket 1e-6 wide, with the boundary fit
+    delta = 0 (plain ML regression) kept as a candidate; whichever candidate
+    has the higher likelihood wins, and an exact tie goes to delta = 0, so
+    the reported loglik never falls below the no-random-effect fit.
 
     Scaling K by c rescales sigma_g2 by 1/c and leaves beta, se and loglik
-    unchanged (up to optimizer tolerance): only the product sigma_g2 * K
-    is identified.
+    unchanged up to optimizer tolerance, the 1e-6 bracket on log(delta):
+    only the product sigma_g2 * K is identified.
     """
     y, x, n, p = _check_design(y, x)
     return _lmm_cores([(y, x, _lmm_factor(k, n))])[0]
@@ -215,7 +215,7 @@ def _lmm_cores(problems):
     m = xt.shape[2] + 1
     v = delta[:, None] * lams + 1.0
     sums = np.matmul((1.0 / v)[:, None, :], g).reshape(-1, m, m)
-    # _profile_cores has checked every pivot of a at this delta
+    # _profile_cores has factored these sums, so a is positive definite
     a, b = sums[:, :-1, :-1], sums[:, :-1, -1:]
     step = np.linalg.solve(a, b)
     r = r0 - (xt @ step)[..., 0]
@@ -250,30 +250,19 @@ def _profile_cores(g, lams, e):
     g stacks the _outer_rows of B problems, (B, n, m*m); lams stacks their
     eigenvalues, (B, n); e holds q values of delta per problem, (B, q).
     Each product of weights and sums is a per-problem np.matmul, the same
-    BLAS call as for that problem alone. rss is the last pivot of Gaussian
-    elimination without pivoting, which is safe because a is symmetric
-    positive definite; only the upper triangle is read and updated, and
-    every pivot is checked before it divides.
+    BLAS call as for that problem alone. One np.linalg.cholesky call then
+    factors all B*q sums [[a, b], [b', c]], one matrix at a time: the rss
+    c - b'a^-1 b is the square of a factor's last diagonal entry. Sums that
+    are not positive definite raise NumericError.
     """
     v = e[:, :, None] * lams[:, None, :] + 1.0
     m = math.isqrt(g.shape[2])
-    # entry (i, j) of every problem's sums, as one array over the stack
-    sums = list(np.matmul(1.0 / v, g).reshape(-1, m * m).T)
-    rows = [sums[i * m:(i + 1) * m] for i in range(m)]
-    for k in range(m - 1):
-        rk = rows[k]
-        piv = rk[k]
-        for q in piv.tolist():
-            if not 0.0 < q < math.inf:
-                raise NumericError(
-                    f"weighted normal equations singular: pivot {k} is {q!r}")
-        for i in range(k + 1, m):
-            f = rk[i] / piv
-            ri = rows[i]
-            for j in range(i, m):
-                ri[j] = ri[j] - f * rk[j]
+    try:
+        chol = np.linalg.cholesky(np.matmul(1.0 / v, g).reshape(-1, m, m))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"weighted normal equations singular: {exc}") from exc
     n = lams.shape[1]
-    rss = rows[-1][-1].tolist()
+    rss = (chol[:, -1, -1] ** 2).tolist()
     _check_s2(rss)
     lvs = np.log(v).sum(axis=-1).ravel().tolist()
     return [n * math.log(r / n) + lv for r, lv in zip(rss, lvs)]

@@ -367,6 +367,43 @@ def test_lmm_sums_route_core_matches_residual_route(seed, p, rank, logd, noise):
     assert abs(got - want) <= 1e-9 * max(abs(want), n)
 
 
+def _rotated_sums(rng, n, x, nan=False):
+    """(_outer_rows, eigenvalues) of a problem with design x on a random PSD K.
+    With nan, one rotated design entry is NaN after the delta = 0 fit."""
+    lam, u = inference._lmm_factor(_psd_k(rng, n), n)
+    xt, yt = u.T @ x, u.T @ rng.standard_normal(n)
+    r0 = yt - xt @ np.linalg.lstsq(xt, yt, rcond=None)[0]
+    if nan:
+        xt[5, 1] = np.nan
+    return inference._outer_rows(xt[None], r0[None])[0], lam
+
+
+@pytest.mark.parametrize("fault", ["zero column", "nan"])
+def test_profile_cores_refuse_bad_sums_alone_and_in_a_stack(fault):
+    # A zero design column makes a singular, so its Cholesky factor fails. A
+    # NaN fails the factor or, where LAPACK lets it through, the rss check.
+    rng = np.random.default_rng(26)
+    n = 16
+    good = [_rotated_sums(rng, n, _design(rng, n, 3)) for _ in range(2)]
+    x = _design(rng, n, 3)
+    if fault == "zero column":
+        x[:, 2] = 0.0
+    bad = _rotated_sums(rng, n, x, nan=fault == "nan")
+    e = np.array([[0.0, 1.0], [0.5, 2.0], [1e-3, 30.0]])
+    with pytest.raises(NumericError) as alone:
+        inference._profile_cores(bad[0][None], bad[1][None], e[1:2])
+    stack = [good[0], bad, good[1]]
+    with pytest.raises(NumericError) as stacked:
+        inference._profile_cores(np.stack([g for g, _ in stack]),
+                                 np.stack([lam for _, lam in stack]), e)
+    assert str(stacked.value) == str(alone.value)
+    if fault == "zero column":
+        assert str(alone.value).startswith("weighted normal equations singular: ")
+    cores = inference._profile_cores(np.stack([g for g, _ in good]),
+                                     np.stack([lam for _, lam in good]), e[[0, 2]])
+    assert all(math.isfinite(c) for c in cores)
+
+
 def _batch_problem(rng, n, p, kind):
     """(y, x, k) of one kind: "random" draws K's rank and the effect size;
     "edge" has delta near 1e6, so the grid minimum sits at its upper end and
