@@ -160,7 +160,9 @@ def latent_field(z, dist, length_scale):
         raise InputError(f"dist must be {len(z)}x{len(z)} to match z, got shape {dist.shape}")
     if np.isnan(dist).any() or (dist < 0).any():
         raise InputError("dist must be non-negative and not NaN (inf marks unreachable pairs)")
-    k = np.exp(-dist / length_scale)
+    # d / l overflows to inf for a tiny l, and exp(-inf) = 0 is the weight's limit
+    with np.errstate(over="ignore"):
+        k = np.exp(-dist / length_scale)
     return (k @ z) / k.sum(axis=1)
 
 
@@ -191,11 +193,19 @@ def standardized_degrees(net):
 
 
 def degree_confounded_covariate(net, cfg, rng=None):
-    """Covariate loaded on standardized degree: x = b * zdeg + noise * eps."""
+    """Covariate loaded on standardized degree: x = b * zdeg + noise * eps.
+
+    Raises InputError when b and noise are so large that x overflows.
+    """
     cfg = cfg._checked()
     zdeg = standardized_degrees(net)
     rng = _resolve_rng(cfg.seed, rng)
-    return cfg.b * zdeg + cfg.noise * rng.standard_normal(net.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = cfg.b * zdeg + cfg.noise * rng.standard_normal(net.n)
+    if not np.isfinite(x).all():
+        raise InputError(f"b and noise are too large: b={cfg.b!r} and noise={cfg.noise!r} "
+                         f"overflow the covariate")
+    return x
 
 
 def monotone_pair(n, seed=0, rng=None):

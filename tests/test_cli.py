@@ -659,6 +659,26 @@ def test_cli_simulate_rejects_non_finite_settings(run_cli, tmp_path, flags, name
     assert err.startswith(f"error: {name} must be a finite number")
 
 
+def test_cli_simulate_degree_confound_overflowing_b_exit_code(small_case, run_cli):
+    _, _, _, edges, _ = small_case
+    code, out, err = run_cli("simulate", "--model", "degree-confound", "--edges", edges,
+                             "--b", "1e308", "--seed", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: b and noise are too large: b=1e+308 and noise=1.0 ")
+
+
+def test_cli_simulate_latent_subnormal_length_scale_is_the_identity_kernel(small_case, run_cli):
+    # d / l overflows for every d >= 1 at l = 1e-320; at l = 1e-300 it does
+    # not, but exp(-d / l) is 0 all the same: both kernels are the identity
+    _, _, _, edges, _ = small_case
+    runs = [run_cli("simulate", "--model", "latent", "--edges", edges, "--length-scale", ls,
+                    "--seed", "4") for ls in ("1e-320", "1e-300")]
+    assert [code for code, _, _ in runs] == [0, 0]
+    assert "Warning" not in runs[0][2]
+    assert runs[0][1] == runs[1][1]
+
+
 @pytest.mark.parametrize("command", [("generate-network",), ("experiment", "coverage")])
 def test_cli_hopeless_erdos_renyi_network_fails_fast(run_cli, command):
     # at n=2000 the default mean degree 5 leaves isolated nodes in almost
