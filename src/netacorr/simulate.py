@@ -204,7 +204,7 @@ def degree_confounded_covariate(net, cfg, rng=None):
         x = cfg.b * zdeg + cfg.noise * rng.standard_normal(net.n)
     if not np.isfinite(x).all():
         raise InputError(f"b and noise are too large: b={cfg.b!r} and noise={cfg.noise!r} "
-                         f"overflow the covariate")
+                         "overflow the covariate")
     return x
 
 
