@@ -122,7 +122,9 @@ def document(**fields):
 
 
 def json_text(doc):
-    return json.dumps(doc, indent=2) + "\n"
+    """doc as strict JSON: a NaN or an infinity raises ValueError, never a bare
+    NaN or Infinity in the text."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 @contextlib.contextmanager

@@ -101,14 +101,16 @@ def build_parser():
     p_exp = sub.add_parser("experiment", help="run a named Monte Carlo experiment")
     p_exp.add_argument("name", choices=list(EXPERIMENT_NAMES))
     _add_edges(p_exp, required=False)
-    p_exp.add_argument("--n", type=_nonneg_int, default=200,
-                       help="nodes for the default generated network")
-    p_exp.add_argument("--net-seed", type=_nonneg_int, default=0,
-                       help="seed for the default generated network")
+    # Study options, --n and --net-seed default to None: a study refuses one
+    # it does not take, and otherwise the runner's default applies.
+    p_exp.add_argument("--n", type=_nonneg_int, default=None,
+                       help="nodes for the default generated network (default 200)")
+    p_exp.add_argument("--net-seed", type=_nonneg_int, default=None,
+                       help="seed for the default generated network (default 0)")
     p_exp.add_argument("--reps", type=_nonneg_int, default=500)
     p_exp.add_argument("--seed", type=_nonneg_int, default=0)
-    p_exp.add_argument("--permutations", type=_pos_int, default=500,
-                       help="permutations per dependence test")
+    p_exp.add_argument("--permutations", type=_pos_int, default=None,
+                       help="permutations per dependence test (default 500)")
     p_exp.add_argument("--kappas", type=_int_list, default=None,
                        help="comma-separated transmission horizons")
     p_exp.add_argument("--lambdas", type=_float_list, default=None,
@@ -117,13 +119,14 @@ def build_parser():
                        help="comma-separated error scales (correlation-distribution)")
     p_exp.add_argument("--effect-sizes", type=_float_list, default=None,
                        help="comma-separated degree loadings (degree-confounding)")
-    p_exp.add_argument("--control-degree", action="store_true",
+    p_exp.add_argument("--control-degree", action="store_true", default=None,
                        help="add standardized degree to the design (degree-confounding)")
     p_exp.add_argument("--a", type=float, default=None, help="transmission strength")
     p_exp.add_argument("--sigma", type=float, default=None, help="innovation scale")
-    p_exp.add_argument("--estimator", choices=["lmm", "gls"], default="lmm")
-    p_exp.add_argument("--kinship", choices=["transmission", "adjacency"],
-                       default="transmission")
+    p_exp.add_argument("--estimator", choices=["lmm", "gls"], default=None,
+                       help="default lmm")
+    p_exp.add_argument("--kinship", choices=["transmission", "adjacency"], default=None,
+                       help="default transmission")
     p_exp.add_argument("--threads", type=_pos_int, default=None,
                        help=f"replicate worker threads (default ${THREADS_ENV} or 1)")
     p_exp.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -234,9 +237,10 @@ def _simulated_table(args):
 
 
 def cmd_experiment(args):
+    runner, options = _STUDIES[args.name]
+    _check_study_options(args, options)
     net = _experiment_network(args)
     threads = _threads_for(args)
-    runner, options = _STUDIES[args.name]
     kwargs = {kw: getattr(args, opt) for opt, kw in options.items()
               if getattr(args, opt) is not None}
     run = runner(net, reps=args.reps, seed=args.seed, threads=threads, **kwargs)
@@ -319,11 +323,25 @@ def _fmt_cell(v):
     return str(v)
 
 
+def _check_study_options(args, options):
+    """Refuse a given option that the study does not take: another study's
+    option, or --n or --net-seed next to --edges."""
+    foreign = [opt for _, opts in _STUDIES.values() for opt in opts if opt not in options]
+    if args.edges is not None:
+        foreign += ["n", "net_seed"]
+    for opt in foreign:
+        if getattr(args, opt) is not None:
+            where = " with --edges" if opt in ("n", "net_seed") else ""
+            raise InputError(f"--{opt.replace('_', '-')} does not apply to study "
+                             f"{args.name!r}{where}")
+
+
 def _experiment_network(args):
     if args.edges is not None:
         net, _labels = load_edge_list(args.edges)
         return net
-    return generate_random_network(args.n, "erdos-renyi", seed=args.net_seed,
+    return generate_random_network(200 if args.n is None else args.n, "erdos-renyi",
+                                   seed=0 if args.net_seed is None else args.net_seed,
                                    require_connected=True)
 
 

@@ -111,7 +111,7 @@ def morans_i(y, w):
     expectation under random relabelling is -1/(n-1), not 0.
     """
     y, w, d, ss, s0 = _validate(y, w)
-    return _moran(d, w, s0, ss)
+    return float(_moran_rows(d[None], w, s0, ss)[0])
 
 
 def gearys_c(y, w):
@@ -200,8 +200,9 @@ def permutation_test(y, w, cfg=None):
 
         p_perm = (1 + #{I* >= I_obs}) / (m + 1)
 
-    with exact floating-point >= so ties count as extreme (on a complete
-    graph every relabelling ties and p_perm is exactly 1). The normal
+    where a relabelling that ties I_obs counts as extreme, whatever the
+    rounding (see :func:`_exceedances`): on a complete graph every
+    relabelling ties and p_perm is exactly 1 for any y. The normal
     approximation fields are filled whenever n >= 4; for n < 30 a
     UserWarning recommends the permutation p-value instead.
 
@@ -239,28 +240,38 @@ def _rejects(ys, w, s0, m, seed, alpha):
         cap -= 1
     if cap < 0:
         return [0.0] * len(ys)
-    hi, _ = _exceedances([(d, ss, _moran(d, w, s0, ss)) for d, ss in vectors],
+    hi, _ = _exceedances([(d, ss, _moran_rows(d[None], w, s0, ss)[0]) for d, ss in vectors],
                          w, s0, m, seed, cap)
     return [float(h <= cap) for h in hi]
 
 
 def _exceedances(vectors, w, s0, m, seed, cap, lower=False):
     """(hi, lo): per (d, ss, i_obs) in vectors, the number of the m
-    relabellings of seed with I* >= i_obs and, if lower, with I* <= i_obs.
+    relabellings of seed with I* >= i_obs - tie and, if lower, with
+    I* <= i_obs + tie, so ties count as extreme whatever the rounding.
+
+    tie = 4 n^2 eps / ss bounds the gap between two computed I that are
+    equal in exact arithmetic: _centre keeps |d_i| < 1 and _check_w w >= 0,
+    so q = x'wx of any relabelling x is off by at most gamma_(2n+1) s0 in
+    any summation order (u = eps / 2, gamma_k = k u / (1 - k u)), and
+    I = n q / (s0 ss) adds two roundings of size u over a shared
+    denominator; two equal I differ by at most about n (2n + 3) eps / ss.
 
     The vectors share the stream: each block is drawn once and scored for
     every vector whose hi is still at most cap, as alone, and the draws
     stop when none is.
     """
+    n = len(vectors[0][0])
     hi, lo = [0] * len(vectors), [0] * len(vectors)
     live = range(len(vectors))
-    for perms in _relabellings(len(vectors[0][0]), m, seed):
+    for perms in _relabellings(n, m, seed):
         for j in live:
             d, ss, i_obs = vectors[j]
+            tie = 4.0 * n * n * np.finfo(float).eps / ss
             vals = _moran_rows(d[perms], w, s0, ss)
-            hi[j] += int((vals >= i_obs).sum())
+            hi[j] += int((vals >= i_obs - tie).sum())
             if lower:
-                lo[j] += int((vals <= i_obs).sum())
+                lo[j] += int((vals <= i_obs + tie).sum())
         live = [j for j in live if hi[j] <= cap]
         if not live:
             break
@@ -310,7 +321,7 @@ def _observed(y, w, alternative):
     """
     y, w, d, ss, s0 = _validate(y, w)
     n = len(y)
-    i_obs = _moran(d, w, s0, ss)
+    i_obs = float(_moran_rows(d[None], w, s0, ss)[0])
     mom = _moments(d, w, ss, s0) if n >= 4 else None
     i_std = p_normal = None
     if mom is not None and 0 < mom.var_i < math.inf:
@@ -327,33 +338,20 @@ def _observed(y, w, alternative):
     ), w, d, ss
 
 
-def _moran(d, w, s0, ss):
-    """Moran's I of centred values d with weight total s0 and sum of squares ss.
-
-    For dense w, ``d @ w`` takes the same route as the permutation kernel's
-    ``dp @ w``, so exact inputs tie bitwise with permuted ones.
-    """
-    return float(len(d) * (d @ w @ d) / (s0 * ss))
-
-
 def _moran_rows(dp, w, s0, ss):
-    """Moran's I of each row of dp, a stack of relabelled centred values.
+    """Moran's I of each row of dp, a stack of centred values: the observed
+    d as one row, or a block of its relabellings.
 
-    For dense w the expression repeats :func:`_moran` term for term, so
-    inputs where the arithmetic is exact (small integer-valued y) tie
-    bitwise with the observed I. For sparse w it scores a C-ordered (n, rows)
+    The one kernel for dense and sparse w: it scores a C-ordered (n, rows)
     copy x of dp as ``x' (w x)``, with no transposed product or ``w.T`` per
-    call (for symmetric w, bit for bit ``x' w' x``); its sums run in another
-    order than :func:`_moran`'s, so there only exact inputs tie bitwise.
+    call (for symmetric w, bit for bit ``x' w' x``).
     """
     n = dp.shape[1]
-    if sparse.issparse(w):
-        dpt = np.ascontiguousarray(dp.T)
-        # Free the row-major block before the product: holding it measured
-        # 40% slower per permutation_test call at n=8000.
-        del dp
-        return n * ((w @ dpt) * dpt).sum(axis=0) / (s0 * ss)
-    return n * ((dp @ w) * dp).sum(axis=1) / (s0 * ss)
+    x = np.ascontiguousarray(dp.T)
+    # Free the row-major block before the product: holding it measured 40%
+    # slower per sparse permutation_test call at n=8000.
+    del dp
+    return n * ((w @ x) * x).sum(axis=0) / (s0 * ss)
 
 
 def _validate(y, w):

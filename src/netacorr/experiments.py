@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._io import document, json_text, records_csv_text, write_text, writing
-from .deptest import _check_w, _rejects
+from .deptest import _centre, _check_w, _rejects
 from .errors import BadCovarianceError, InputError, _cells, _choice, _count, _real
 from .graph import _edge_weights, adjacency_weights
 from .inference import (
@@ -48,6 +48,7 @@ from .inference import (
     _gls_factor,
     _lmm_cores,
     _lmm_factor,
+    _sd,
     _z_quantile,
     mean_ci_naive,
     ols,
@@ -93,8 +94,8 @@ _ROW_STATS = {
     "bias": lambda est, cols: est.mean(),
     "mean_abs_error": lambda est, cols: np.abs(est).mean(),
     "mean_se": lambda est, cols: cols["se"].mean(),
-    "sd_estimates": lambda est, cols: est.std(ddof=1),
-    "mc_se_mean_estimate": lambda est, cols: est.std(ddof=1) / np.sqrt(len(est)),
+    "sd_estimates": lambda est, cols: _sd(est),
+    "mc_se_mean_estimate": lambda est, cols: _sd(est) / np.sqrt(len(est)),
     "reject_slope": lambda est, cols: 1.0 - cols["covered"].mean(),
     "frac_abs_gt_half": lambda est, cols: np.mean(np.abs(est) > 0.5),
 }
@@ -393,7 +394,8 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
 
 
 # Study name -> (runner, {CLI option: runner keyword}). The CLI passes each
-# listed option that is not None; other runner arguments keep their defaults.
+# listed option that is not None, and refuses a given option not listed;
+# other runner arguments keep their defaults.
 # A test in test_cli.py checks the README's `netacorr experiment` table against this.
 _STUDIES = {
     "correlation-distribution": (run_correlation_distribution, {"sigmas": "settings"}),
@@ -499,9 +501,10 @@ def _corr_settings(settings):
 
 
 def _pearson(x, y):
-    dx = x - x.mean()
-    dy = y - y.mean()
-    return float((dx @ dy) / np.sqrt((dx @ dx) * (dy @ dy)))
+    """The correlation of x and y, from their centred values scaled by powers
+    of two (deptest._centre), so that no sum of squares overflows."""
+    (dx, sx), (dy, sy) = _centre(x), _centre(y)
+    return float((dx @ dy) / np.sqrt(sx * sy))
 
 
 def _rng(exp, seed, rep, tag):

@@ -69,7 +69,7 @@ def mean_ci_naive(y, level=0.95):
     _real("level", level, 0, 1, strict=True)
     n = len(y)
     m = float(y.mean())
-    se = float(y.std(ddof=1) / math.sqrt(n))
+    se = _sd(y) / math.sqrt(n)
     z = _z_quantile(level)
     return MeanEstimate(mean=m, se=se, ci=(m - z * se, m + z * se), level=level, n=n)
 
@@ -79,13 +79,21 @@ def ols(y, x, level=0.95):
 
     x is the full design matrix including any intercept column. Raises
     SingularDesignError when x is rank deficient, InputError when there are
-    no residual degrees of freedom (n <= p).
+    no residual degrees of freedom (n <= p), and NumericError when the
+    residual variance is beyond the float range. The residuals are scaled
+    by a power of two before they are squared, which is exact.
     """
     y, x, n, p = _check_design(y, x)
     _real("level", level, 0, 1, strict=True)
     beta, *_ = np.linalg.lstsq(x, y, rcond=None)
     resid = y - x @ beta
-    sigma2 = float(resid @ resid) / (n - p)
+    e = _exponent(resid)
+    r = np.ldexp(resid, -e)
+    try:
+        sigma2 = math.ldexp(float(r @ r) / (n - p), 2 * e)
+    except OverflowError:
+        raise NumericError("OLS residual variance is beyond the float range; "
+                           "rescale y") from None
     xtx_inv = np.linalg.inv(x.T @ x)
     se = np.sqrt(sigma2 * np.diagonal(xtx_inv))
     z = _z_quantile(level)
@@ -312,6 +320,21 @@ def _golden_mins(f, lo, hi, tol):
                 fc[i] = fx[i]
             else:
                 fd[i] = fx[i]
+
+
+def _exponent(v):
+    """The binary exponent of max |v|: v * 2^-e lies in (-1, 1)."""
+    return math.frexp(float(np.abs(v).max()))[1]
+
+
+def _sd(v):
+    """v.std(ddof=1), computed on v scaled by a power of two so that no
+    square overflows; the scale is exact, as the sd is of degree 1 in v."""
+    e = _exponent(v)
+    try:
+        return math.ldexp(float(np.ldexp(v, -e).std(ddof=1)), e)
+    except OverflowError:
+        raise NumericError("a standard deviation is beyond the float range") from None
 
 
 @functools.lru_cache

@@ -34,7 +34,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 _SW = ("--model", "small-world", "--n", "50", "--k", "4", "--rewire-prob", "0.2",
        "--seed", "4")
 _ER = ("--model", "erdos-renyi", "--n", "45", "--p", "0.12", "--seed", "3")
-_STUDY = ("--edges", "{sw}", "--seed", "5", "--permutations", "99")
+_STUDY = ("--edges", "{sw}", "--seed", "5")
+_PERMS = ("--permutations", "99")  # only the studies that run permutation tests take it
 
 
 def _run(*argv):
@@ -133,13 +134,14 @@ CASES = {
         "residual-test", "y", "--weights", "inverse-geodesic", "--method", "normal"),
     "study-correlation-distribution": _study(
         "correlation-distribution", "--reps", "4", "--sigmas", "0.2"),
-    "study-coverage": _study("coverage", "--reps", "5", "--kappas", "0,2"),
-    "study-spurious-regression": _study("spurious-regression", "--reps", "4",
+    "study-coverage": _study("coverage", *_PERMS, "--reps", "5", "--kappas", "0,2"),
+    "study-spurious-regression": _study("spurious-regression", *_PERMS, "--reps", "4",
                                         "--kappas", "0,3"),
-    "study-degree-confounding": _study("degree-confounding", "--reps", "5",
+    "study-degree-confounding": _study("degree-confounding", *_PERMS, "--reps", "5",
                                        "--effect-sizes", "0,1.5"),
     "study-degree-confounding-controlled": _study(
-        "degree-confounding", "--reps", "5", "--effect-sizes", "0,1.5", "--control-degree"),
+        "degree-confounding", *_PERMS, "--reps", "5", "--effect-sizes", "0,1.5",
+        "--control-degree"),
     "study-gls-correction-lmm-transmission": _study(
         "gls-correction", "--reps", "3", "--kappas", "1,3", "--lambdas", "0,0.5"),
     "study-gls-correction-lmm-adjacency": _study(

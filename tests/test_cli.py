@@ -2,13 +2,16 @@
 
 import csv
 import io
+import itertools
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
 from netacorr import (
+    Network,
     TransmissionConfig,
     adjacency_weights,
     direct_transmission,
@@ -140,6 +143,26 @@ def test_cli_weights_spec(small_case, run_cli):
     code, _, _ = run_cli("test", "--edges", edges, "--values", values,
                          "--weights", "inverse-geodesic:zero")
     assert code == 2
+
+
+@pytest.mark.filterwarnings("ignore:normal approximation:UserWarning")
+@pytest.mark.parametrize("weights", ["adjacency", "inverse-geodesic"])
+@pytest.mark.parametrize("edges, values, p_perm", [
+    (((0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (3, 4)), (0, 1, 0, 0, 1), 0.588),
+    (tuple(itertools.combinations(range(5), 2)), (1, 1, 0, 0, 0), 1.0),
+], ids=["five-node", "complete"])
+def test_cli_relabellings_that_tie_count_as_extreme(run_cli, tmp_path, weights, edges,
+                                                    values, p_perm):
+    # 0/1 values on five nodes: the exact tie-inclusive p is 0.6 on the first
+    # graph and 1 on K5, where every relabelling ties
+    labels = [str(i) for i in range(5)]
+    _write_edges(tmp_path / "edges.csv", Network(5, edges))
+    _write_values(tmp_path / "values.csv", labels, values)
+    code, out, _ = run_cli("test", "--edges", tmp_path / "edges.csv",
+                           "--values", tmp_path / "values.csv", "--weights", weights,
+                           "--permutations", "999", "--seed", "0")
+    assert code == 0
+    assert json.loads(out)["result"]["p_perm"] == p_perm
 
 
 def test_cli_adjacency_weights_match_the_dense_matrix(small_case, run_cli, tmp_path,
@@ -461,6 +484,41 @@ def test_cli_residual_test_of_values_times_1e100_gives_the_unscaled_statistic(
     for key in ("statistic", "var_null", "p_normal"):
         assert big[key] == pytest.approx(plain[key], abs=1e-12), key
     assert big["p_perm"] == plain["p_perm"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_residual_test_with_residual_variance_beyond_the_float_range_exit_code(
+        small_case, run_cli, tmp_path):
+    # values near 1e160 give squared residuals near 1e320: sigma2 itself overflows
+    _, labels, y, edges, _ = small_case
+    design = tmp_path / "design.csv"
+    _write_design(design, labels, {"x1": np.cos(np.arange(40.0))})
+    scaled = tmp_path / "scaled.csv"
+    _write_values(scaled, labels, y * 1e160)
+    code, out, err = run_cli("residual-test", "--edges", edges, "--values", str(scaled),
+                             "--design", str(design))
+    assert code == 4
+    assert out == ""
+    assert "residual variance is beyond the float range" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("study, flags", [
+    ("coverage", ("--permutations", "9", "--sigma", "1e200")),
+    ("correlation-distribution", ("--sigmas", "1e200")),
+])
+def test_cli_experiment_at_sigma_1e200_writes_finite_strict_json(run_cli, tmp_path, study,
+                                                                 flags):
+    # the sd of the coverage study and the correlation's sums of squares are
+    # computed on values scaled by powers of two, so they do not overflow
+    code, out, _ = run_cli("experiment", study, "--n", "40", "--reps", "2", *flags,
+                           "--format", "json", "--out", tmp_path)
+    assert code == 0
+    with open(tmp_path / f"{study}_report.json") as fh:
+        doc = _strict_json(fh.read())
+    numbers = [v for row in doc["rows"] + doc["replicates"] for v in row.values()
+               if isinstance(v, float)]
+    assert numbers and all(math.isfinite(v) for v in numbers)
 
 
 def test_cli_residual_test_design_errors(small_case, run_cli, tmp_path):
@@ -795,6 +853,26 @@ def test_readme_experiment_table_matches_the_cli():
         assert listed_runner == f"`{runner.__name__}`"
         flags = [part.split()[0].strip("`") for part in listed.split(", ")]
         assert flags == ["--" + opt.replace("_", "-") for opt in options]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("coverage", "--lambdas", "0.5"), "--lambdas does not apply to study 'coverage'"),
+    (("coverage", "--estimator", "gls"), "--estimator does not apply to study 'coverage'"),
+    (("gls-correction", "--edges", "EDGES", "--n", "30"),
+     "--n does not apply to study 'gls-correction' with --edges"),
+    (("gls-correction", "--edges", "EDGES", "--net-seed", "3"),
+     "--net-seed does not apply to study 'gls-correction' with --edges"),
+], ids=["other-study-list", "other-study-choice", "n-with-edges", "net-seed-with-edges"])
+def test_cli_experiment_refuses_options_its_study_does_not_take(run_cli, tmp_path, flags,
+                                                                message):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("src,dst\n0,1\n1,2\n2,3\n3,0\n")
+    flags = [str(edges) if f == "EDGES" else f for f in flags]
+    code, out, err = run_cli("experiment", *flags, "--reps", "2", "--out", tmp_path / "out")
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_experiment_empty_kappa_list_exits_2(run_cli, tmp_path):

@@ -6,6 +6,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from netacorr import (
     enumerate_null,
     gearys_c,
     generate_random_network,
+    geodesic_distances,
+    inverse_geodesic_weights,
     morans_i,
     normal_test,
     null_moments,
@@ -306,6 +309,59 @@ def test_two_sided_doubles_the_smaller_tail():
     assert two.p_perm == min(1.0, 2.0 * min(p_up, p_lo))
 
 
+def _exact_p(y, entries, m, seed, alternative):
+    """p_perm of a test on integer y, counted from exact rational quadratic
+    forms n^2 d'wd over the test's own relabellings; entries are the
+    (i, j, w_ij) of w with w_ij a Fraction."""
+    n = len(y)
+
+    total = int(y.sum())
+
+    def form(v):
+        e = [n * int(a) - total for a in v]  # n d, in integers
+        return sum(wij * e[i] * e[j] for i, j, wij in entries)
+
+    obs = form(y)
+    forms = [form(y[p]) for perms in deptest._relabellings(n, m, seed) for p in perms]
+    p_up = (1.0 + sum(f >= obs for f in forms)) / (m + 1.0)
+    if alternative == "greater":
+        return p_up
+    return min(1.0, 2.0 * min(p_up, (1.0 + sum(f <= obs for f in forms)) / (m + 1.0)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8),
+       kind=st.sampled_from(["random", "star", "complete"]),
+       weights=st.sampled_from(["adjacency", "inverse-geodesic"]), is_sparse=st.booleans(),
+       alternative=st.sampled_from(["greater", "two-sided"]), m=st.integers(1, 300))
+@example(seed=0, n=5, kind="complete", weights="adjacency", is_sparse=False,
+         alternative="greater", m=999)
+@example(seed=190, n=7, kind="random", weights="inverse-geodesic", is_sparse=False,
+         alternative="greater", m=84)
+def test_ties_count_as_extreme_whatever_the_rounding(seed, n, kind, weights, is_sparse,
+                                                     alternative, m):
+    # Small integer y with a non-integer mean: the float sums are inexact, and
+    # relabellings that tie the observed I in exact arithmetic must count.
+    # The exact forms take the weights as the rationals 1 or 1/d they stand
+    # for, of which the float weights are a rounding.
+    rng = np.random.default_rng(seed)
+    net = _network(kind, n, rng)
+    y = rng.integers(0, 3, n)
+    y[0] += y.sum() % n == 0
+    if weights == "adjacency":
+        w = adjacency_weights(net)
+        entries = [(i, j, Fraction(1)) for i, j in zip(*np.nonzero(w))]
+    else:
+        w = inverse_geodesic_weights(net)
+        dist = geodesic_distances(net)
+        entries = [(i, j, Fraction(1, int(dist[i, j]))) for i, j in zip(*np.nonzero(w))]
+    cfg = PermutationConfig(m=m, seed=seed, alternative=alternative)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        res = permutation_test(y, sparse.csr_array(w) if is_sparse else w, cfg)
+    assert res.p_perm == _exact_p(y, entries, m, seed, alternative)
+
+
 def test_small_n_permutation_has_no_normal_fields():
     w = _adj(3, [(0, 1), (1, 2)])
     res = permutation_test([0.4, -1.0, 0.9], w, PermutationConfig(m=50, seed=1))
@@ -430,9 +486,7 @@ def test_early_stop_cap_is_the_float_boundary(monkeypatch):
     # p-value (1 + h) / (m + 1) and one ulp below it; a closed form for cap
     # such as int(alpha * (m + 1)) - 1 gets some of these wrong
     case = {}
-    monkeypatch.setattr(deptest, "_relabellings", lambda *args: iter([None]))
-    monkeypatch.setattr(deptest, "_moran_rows", lambda *args: np.r_[
-        np.full(case["h"], np.inf), np.full(case["m"] - case["h"], -np.inf)])
+    monkeypatch.setattr(deptest, "_exceedances", lambda *args: ([case["h"]], [0]))
     y, w = np.array([-1.0, 0.0, 1.0]), _adj(3, [(0, 1), (1, 2)])
     for m in range(1, 121):
         for h in range(m + 1):
@@ -643,10 +697,9 @@ def _sparse_agrees(y, w, same, exact):
     """Run every statistic on dense w and on each sparse twin; same(a, b)
     compares two floats.
 
-    exact: the arithmetic is exact, so p_perm must match and the identity
-    relabelling must tie the observed I. Otherwise p_perm is compared only
-    for n >= 12, where m=600 draws almost never include the identity, whose
-    statistic equals I up to rounding that the two kernels do differently.
+    exact: the arithmetic is exact, so the whole result must match and the
+    identity relabelling must tie the observed I bitwise. p_perm is compared
+    at every n: a relabelling that ties I counts in either layout.
     """
     n, m = len(y), 600
     dense = {
@@ -657,9 +710,7 @@ def _sparse_agrees(y, w, same, exact):
         "perm": permutation_test(y, w, PermutationConfig(m=m, seed=3)),
         "enum": enumerate_null(y, w) if n <= 7 else None,
     }
-    perm_fields = ["i_stat", "s0", "i_std", "p_normal"]
-    if exact or n >= 12:
-        perm_fields.append("p_perm")
+    perm_fields = ["i_stat", "s0", "i_std", "p_normal", "p_perm"]
     for ws in _sparse_forms(w):
         before = ws.copy()
         assert same(morans_i(y, ws), dense["i"])

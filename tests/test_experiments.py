@@ -388,9 +388,14 @@ def test_early_stop_reports_equal_full_permutation_tests(name, threads, monkeypa
 
 def test_reject_stops_drawing_only_once_the_bit_is_fixed(monkeypatch):
     drawn = []
-    rows = deptest._moran_rows
-    monkeypatch.setattr(deptest, "_moran_rows",
-                        lambda dp, *args: drawn.append(len(dp)) or rows(dp, *args))
+    relabellings = deptest._relabellings
+
+    def counted(*args):
+        for perms in relabellings(*args):
+            drawn.append(len(perms))
+            yield perms
+
+    monkeypatch.setattr(deptest, "_relabellings", counted)
     w, m = experiments.adjacency_weights(NET), 500
     s0 = float(w.sum())
     iid = np.random.default_rng(3).standard_normal(NET.n)

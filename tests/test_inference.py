@@ -88,6 +88,29 @@ def test_ols_design_errors():
         ols(y, x[:10])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [-600, -1, 1, 500])
+def test_power_of_two_scale_moves_no_sd_or_residual_variance(k):
+    # the sd and sigma2 are computed on values scaled by a power of two, so
+    # a scale of y by 2^k scales them by exactly 2^k and 4^k
+    rng = np.random.default_rng(12)
+    x = _design(rng, 30, 2)
+    y = x @ np.array([1.0, 0.5]) + rng.standard_normal(30)
+    scaled = np.ldexp(y, k)
+    assert mean_ci_naive(scaled).se == math.ldexp(mean_ci_naive(y).se, k)
+    assert ols(scaled, x).sigma2 == math.ldexp(ols(y, x).sigma2, 2 * k)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ols_residual_variance_beyond_the_float_range_raises_numeric_error():
+    rng = np.random.default_rng(13)
+    x = _design(rng, 30, 2)
+    y = 1e160 * rng.standard_normal(30)
+    with pytest.raises(NumericError, match="residual variance is beyond the float range"):
+        ols(y, x)
+    assert math.isfinite(mean_ci_naive(y * 1e140).se)
+
+
 # ---------------------------------------------------------------------------
 # gls with a known covariance
 # ---------------------------------------------------------------------------
