@@ -16,7 +16,7 @@ from itertools import permutations
 from typing import Optional
 
 import numpy as np
-from scipy import sparse, stats
+from scipy import sparse
 
 from .errors import (DegenerateStatisticError, InputError, _check_y, _choice, _count,
                      _float_array)
@@ -42,7 +42,14 @@ _ALTERNATIVES = ("greater", "two-sided")
 
 @dataclass(frozen=True)
 class NullMoments:
-    """Moments of Moran's I under random relabelling, plus the weight sums."""
+    """Moments of Moran's I under random relabelling, plus the weight sums.
+
+    s1 and s2 are of degree 2 in w, so they leave the float range long
+    before w does: they are reported as the nearest float to the exact sum,
+    which is inf above the float range and 0 or subnormal below it. The
+    moments are computed from the sums of w scaled by a power of two and do
+    not depend on the reported s1 and s2.
+    """
 
     mean_i: float
     var_i: float
@@ -156,22 +163,42 @@ def null_moments(y, w):
 def _moments(d, w, ss, s0):
     """Randomization moments of I for validated centred values d (n >= 4).
 
-    The expressions serve dense and sparse w alike: for a scipy sparse array
-    ``** 2`` is element-wise and the axis sums are 1-D arrays.
+    The sums are read from t = w + w' on w scaled by a power of two so that
+    its largest entry lies in [1/2, 1): they can neither overflow nor go
+    subnormal for any finite w. var_i is of degree 0 in S0, S1 and S2, so the
+    exact scale moves no moment. The expressions serve dense and sparse w
+    alike: for a scipy sparse array ``** 2`` is element-wise and the axis
+    sum is a 1-D array.
     """
     n = len(d)
-    s1 = float(0.5 * ((w + w.T) ** 2).sum())
-    rows = w.sum(axis=1)
-    cols = w.sum(axis=0)
-    s2 = float(((rows + cols) ** 2).sum())
+    e = math.frexp(float(w.max()))[1]
+    if sparse.issparse(w):
+        w = sparse.csr_array((np.ldexp(w.data, -e), w.indices, w.indptr), shape=w.shape)
+    else:
+        w = np.ldexp(w, -e)
+    t = w + w.T
+    del w  # free the scaled copy: t and t**2 are then the only n x n temporaries
+    # the scaled S0, S1 and S2; the row sums of t are the rows plus the columns of w
+    t0 = float(t.sum()) / 2.0
+    t1 = float((t**2).sum()) / 2.0
+    t2 = float((t.sum(axis=1) ** 2).sum())
     b2 = float(n * (d**4).sum() / ss**2)
     mean_i = -1.0 / (n - 1)
-    num = n * ((n * n - 3 * n + 3) * s1 - n * s2 + 3 * s0 * s0) - b2 * (
-        (n * n - n) * s1 - 2 * n * s2 + 6 * s0 * s0
+    num = n * ((n * n - 3 * n + 3) * t1 - n * t2 + 3 * t0 * t0) - b2 * (
+        (n * n - n) * t1 - 2 * n * t2 + 6 * t0 * t0
     )
-    den = (n - 1) * (n - 2) * (n - 3) * s0 * s0
+    den = (n - 1) * (n - 2) * (n - 3) * t0 * t0
     var_i = num / den - mean_i * mean_i
-    return NullMoments(mean_i=mean_i, var_i=float(var_i), s0=s0, s1=s1, s2=s2, b2=b2)
+    return NullMoments(mean_i=mean_i, var_i=float(var_i), s0=s0, s1=_unscaled(t1, 2 * e),
+                       s2=_unscaled(t2, 2 * e), b2=b2)
+
+
+def _unscaled(x, e):
+    """x * 2^e, or inf where that is beyond the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
 
 
 def enumerate_null(y, w):
@@ -330,7 +357,8 @@ def _observed(y, w, alternative):
                           f"{_SMALL_N_NORMAL}; prefer the permutation p-value",
                           UserWarning, stacklevel=3)
         i_std = (i_obs - mom.mean_i) / math.sqrt(mom.var_i)
-        tail = stats.norm.sf(i_std if alternative == "greater" else abs(i_std))
+        z = i_std if alternative == "greater" else abs(i_std)
+        tail = 0.5 * math.erfc(z / math.sqrt(2.0))
         p_normal = float(tail if alternative == "greater" else 2.0 * tail)
     return MoranResult(
         i_stat=i_obs, n=n, s0=s0, moments=mom, i_std=i_std, p_normal=p_normal,

@@ -7,13 +7,12 @@ as the full known error covariance rather than a shape to be rescaled.
 
 from __future__ import annotations
 
-import functools
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (BadCovarianceError, InputError, NumericError, SingularDesignError,
@@ -63,15 +62,22 @@ def mean_ci_naive(y, level=0.95):
 
     The point of the name: the interval ignores any dependence between
     observations, which is exactly the failure mode the Monte Carlo
-    harnesses measure.
+    harnesses measure. The mean is taken on y scaled by a power of two, which
+    is exact, so it cannot overflow; an interval with an endpoint beyond the
+    float range raises NumericError.
     """
     y = _check_y(y)
     _real("level", level, 0, 1, strict=True)
     n = len(y)
-    m = float(y.mean())
+    e = _exponent(y)
+    m = math.ldexp(float(np.ldexp(y, -e).mean()), e)
     se = _sd(y) / math.sqrt(n)
     z = _z_quantile(level)
-    return MeanEstimate(mean=m, se=se, ci=(m - z * se, m + z * se), level=level, n=n)
+    ci = (m - z * se, m + z * se)
+    if not all(map(math.isfinite, ci)):
+        raise NumericError(f"the interval mean +- z * se is beyond the float range: "
+                           f"mean={m!r}, se={se!r}")
+    return MeanEstimate(mean=m, se=se, ci=ci, level=level, n=n)
 
 
 def ols(y, x, level=0.95):
@@ -337,13 +343,13 @@ def _sd(v):
         raise NumericError("a standard deviation is beyond the float range") from None
 
 
-@functools.lru_cache
 def _z_quantile(level):
-    """Standard normal quantile of a two-sided interval at this level.
-
-    Cached: stats.norm.ppf costs more than the rest of an ols call at n=200.
-    """
-    return float(stats.norm.ppf(0.5 + level / 2.0))
+    """Standard normal quantile of a two-sided interval at a level in (0, 1)."""
+    p = 0.5 + level / 2.0
+    if p == 1.0:  # level = 1 - 2^-53 alone rounds p up to 1
+        raise InputError(f"level is too close to 1: 0.5 + level / 2 rounds to 1 at "
+                         f"level={level!r}")
+    return statistics.NormalDist().inv_cdf(p)
 
 
 def _check_design(y, x):

@@ -135,14 +135,18 @@ def direct_transmission(net, cfg, rng=None):
     adding fresh innovation noise:
 
         y <- T y + sigma * eps,   eps ~ N(0, I).
+
+    Raises InputError when sigma is so large that the values overflow.
     """
     cfg = cfg._checked()
     t = transmission_operator(net, cfg.a)
     rng = _resolve_rng(cfg.seed, rng)
     y = rng.standard_normal(net.n)
-    for _ in range(cfg.kappa):
-        y = t @ y + cfg.sigma * rng.standard_normal(net.n)
-    return y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.kappa):
+            y = t @ y + cfg.sigma * rng.standard_normal(net.n)
+    return _finite(y, f"sigma is too large: sigma={cfg.sigma!r} overflows the transmission "
+                      f"process at kappa={cfg.kappa}")
 
 
 def latent_field(z, dist, length_scale):
@@ -172,13 +176,17 @@ def latent_variable_outcome(net, cfg, rng=None):
     Draws z ~ N(0, I), smooths it over geodesic distance with length scale
     cfg.length_scale, and adds cfg.noise * eps. As length_scale -> 0 the
     kernel collapses to the identity and the outcome is iid.
+
+    Raises InputError when noise is so large that the outcome overflows.
     """
     cfg = cfg._checked()
     rng = _resolve_rng(cfg.seed, rng)
     z = rng.standard_normal(net.n)
     eps = rng.standard_normal(net.n)
     smooth = latent_field(z, geodesic_distances(net), cfg.length_scale)
-    return smooth + cfg.noise * eps
+    with np.errstate(over="ignore"):
+        y = smooth + cfg.noise * eps
+    return _finite(y, f"noise is too large: noise={cfg.noise!r} overflows the latent outcome")
 
 
 def standardized_degrees(net):
@@ -202,10 +210,8 @@ def degree_confounded_covariate(net, cfg, rng=None):
     rng = _resolve_rng(cfg.seed, rng)
     with np.errstate(over="ignore", invalid="ignore"):
         x = cfg.b * zdeg + cfg.noise * rng.standard_normal(net.n)
-    if not np.isfinite(x).all():
-        raise InputError(f"b and noise are too large: b={cfg.b!r} and noise={cfg.noise!r} "
-                         "overflow the covariate")
-    return x
+    return _finite(x, f"b and noise are too large: b={cfg.b!r} and noise={cfg.noise!r} "
+                      "overflow the covariate")
 
 
 def monotone_pair(n, seed=0, rng=None):
@@ -220,6 +226,18 @@ def monotone_pair(n, seed=0, rng=None):
     sy = 2.0 * rng.integers(0, 2) - 1.0
     ramp = np.arange(1, n + 1) / n
     return sx * ramp, sy * ramp
+
+
+def _finite(values, message):
+    """values, if every entry is finite; else an InputError with message.
+
+    The generators compute their values with overflow warnings off and call
+    this once, so a setting that overflows is named instead of a NaN or an
+    inf reaching the caller.
+    """
+    if not np.isfinite(values).all():
+        raise InputError(message)
+    return values
 
 
 def _resolve_rng(seed, rng):

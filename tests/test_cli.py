@@ -5,11 +5,15 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import netacorr
 from netacorr import (
     Network,
     TransmissionConfig,
@@ -724,6 +728,42 @@ def test_cli_simulate_degree_confound_overflowing_b_exit_code(small_case, run_cl
     assert code == 2
     assert out == ""
     assert err.startswith("error: b and noise are too large: b=1e+308 and noise=1.0 ")
+
+
+_SIGMA_MESSAGE = "error: sigma is too large: sigma=1e+308 overflows the transmission process"
+_NOISE_MESSAGE = "error: noise is too large: noise=1e+308 overflows the latent outcome"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("simulate", "--model", "transmission", "--sigma", "1e308"), _SIGMA_MESSAGE),
+    *[(("simulate", "--model", "latent", "--noise", "1e308", "--seed", seed), _NOISE_MESSAGE)
+      for seed in ("1", "2", "3")],
+    (("experiment", "coverage", "--n", "40", "--reps", "2", "--permutations", "9",
+      "--sigma", "1e308"), _SIGMA_MESSAGE),
+], ids=["transmission", "latent-seed1", "latent-seed2", "latent-seed3", "coverage"])
+def test_cli_simulated_values_that_overflow_name_the_setting(run_cli, tmp_path, args, message):
+    # on this graph sigma = 1e308 made 60 NaN rows and noise = 1e308 inf rows;
+    # the coverage study named y, where the values came from sigma
+    edges = tmp_path / "edges.csv"
+    run_cli("generate-network", "--n", "60", "--p", "0.1", "--seed", "3", "--out", edges)
+    where = ("--edges", edges) if args[0] == "simulate" else ("--out", tmp_path / "results")
+    code, out, err = run_cli(*args, *where)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+    assert "Warning" not in err
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs about half the start-up of a process; the normal tail
+    # and quantile come from the standard library
+    src = os.path.dirname(os.path.dirname(netacorr.__file__))
+    code = "import sys, netacorr, netacorr.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "False\n"
 
 
 def test_cli_simulate_latent_subnormal_length_scale_is_the_identity_kernel(small_case, run_cli):

@@ -1,5 +1,6 @@
 """Statistic oracles, randomization moments, and the permutation engine."""
 
+import dataclasses
 import inspect
 import itertools
 import math
@@ -524,6 +525,89 @@ def test_normal_test_two_sided_tail():
     two = normal_test(y, w, alternative="two-sided")
     assert abs(two.p_normal - 2.0 * stats.norm.sf(abs(one.i_std))) < 1e-15
     assert two.p_normal <= 1.0
+
+
+_TAIL_NET = generate_random_network(40, model="erdos-renyi", p=0.12, seed=2)
+
+
+@settings(deadline=None, max_examples=200)
+@given(z=st.floats(-37.0, 37.0), alternative=st.sampled_from(["greater", "two-sided"]))
+@example(z=-37.0, alternative="greater")
+@example(z=37.0, alternative="two-sided")
+def test_normal_tail_matches_scipy(z, alternative):
+    # the tail comes from math.erfc; scipy.stats is the oracle. The null mean
+    # is moved so that the observed I standardizes to about z.
+    w = adjacency_weights(_TAIL_NET)
+    y = np.random.default_rng(3).standard_normal(_TAIL_NET.n)
+    moments = deptest._moments
+
+    def shifted(*args):
+        mom = moments(*args)
+        return dataclasses.replace(mom, mean_i=morans_i(y, w) - z * math.sqrt(mom.var_i))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deptest, "_moments", shifted)
+        res = normal_test(y, w, alternative=alternative)
+    tail = stats.norm.sf(res.i_std if alternative == "greater" else abs(res.i_std))
+    want = tail if alternative == "greater" else 2.0 * tail
+    assert abs(res.i_std - z) <= 1e-9 * max(1.0, abs(z))
+    assert abs(res.p_normal - want) <= 1e-12 * want
+
+
+_W_SCALE_NET = generate_random_network(30, model="erdos-renyi", p=0.15, seed=4)
+
+
+@settings(deadline=None, max_examples=60)
+@given(k=st.integers(-1000, 1000), seed=st.integers(0, 2**32 - 1), sparse_w=st.booleans())
+@example(k=-1000, seed=0, sparse_w=False)
+@example(k=1000, seed=0, sparse_w=True)
+def test_power_of_two_scale_of_w_moves_no_moment(k, seed, sparse_w):
+    # the moment sums are read from w scaled by a power of two, so w * 2^k
+    # gives the unscaled null variance over the whole float range: no S1 near
+    # 1e603 at k = 1000 and no subnormal sums at k = -1000
+    w = adjacency_weights(_W_SCALE_NET)
+    y = np.random.default_rng(seed).standard_normal(_W_SCALE_NET.n)
+    scaled = np.ldexp(w, k)
+    scaled = sparse.csr_array(scaled) if sparse_w else scaled
+    got, want = normal_test(y, scaled), normal_test(y, w)
+    assert got.moments.var_i == want.moments.var_i
+    assert abs(got.i_std - want.i_std) <= 1e-12 * abs(want.i_std)
+    assert abs(got.p_normal - want.p_normal) <= 1e-12 * want.p_normal
+
+
+@pytest.mark.parametrize("c", [1e150, 1e154, 1e160, 1e-300])
+def test_weights_far_from_one_give_the_unscaled_moments(c):
+    # S1 and S2 of w * c overflow at 1e154 and underflow at 1e-300 unless
+    # they are read from w scaled by a power of two
+    w = adjacency_weights(_W_SCALE_NET)
+    y = np.sin(np.arange(_W_SCALE_NET.n))
+    got, want = normal_test(y, c * w), normal_test(y, w)
+    assert abs(got.moments.var_i - want.moments.var_i) <= 1e-14 * want.moments.var_i
+    assert abs(got.p_normal - want.p_normal) <= 1e-13 * want.p_normal
+
+
+def test_weight_sums_beyond_the_float_range_are_reported_rounded():
+    w = adjacency_weights(_W_SCALE_NET)
+    y = np.sin(np.arange(_W_SCALE_NET.n))
+    base = null_moments(y, w)
+    for k, s1, s2 in [(10, math.ldexp(base.s1, 20), math.ldexp(base.s2, 20)),
+                      (600, math.inf, math.inf), (-600, 0.0, 0.0)]:
+        mom = null_moments(y, np.ldexp(w, k))
+        assert (mom.s0, mom.s1, mom.s2) == (math.ldexp(base.s0, k), s1, s2)
+        assert mom.var_i == base.var_i
+
+
+def test_dense_moments_hold_two_weight_sized_temporaries():
+    n = 400
+    w = adjacency_weights(generate_random_network(n, model="erdos-renyi", seed=5))
+    y = np.random.default_rng(6).standard_normal(n)
+    tracemalloc.start()
+    try:
+        null_moments(y, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * w.nbytes, f"peak {peak / w.nbytes:.2f} n x n arrays"
 
 
 def test_normal_test_size_requirements():

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from netacorr import inference
@@ -52,6 +52,39 @@ def test_mean_ci_naive_validation():
         mean_ci_naive([1.0, 2.0], level=1.0)
     with pytest.raises(InputError):
         mean_ci_naive([1.0, np.nan])
+
+
+@settings(deadline=None, max_examples=300)
+@given(level=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(level=5e-324)
+@example(level=1.0 - 2.0**-53)
+def test_z_quantile_matches_scipy(level):
+    # the quantile comes from statistics.NormalDist; scipy.stats is the oracle
+    p = 0.5 + level / 2.0
+    if p == 1.0:
+        with pytest.raises(InputError, match="level is too close to 1"):
+            inference._z_quantile(level)
+        return
+    want = float(stats.norm.ppf(p))
+    assert abs(inference._z_quantile(level) - want) <= 1e-14 * want
+
+
+def test_z_quantile_is_not_cached():
+    assert not hasattr(inference._z_quantile, "cache_info")
+
+
+def test_mean_ci_naive_of_values_near_the_float_max():
+    # the mean of values near 1.8e308 overflows unless they are scaled first
+    y = np.linspace(1.0, 1.7, 30) * 1e308
+    est = mean_ci_naive(y)
+    assert est.mean == math.ldexp(float(np.ldexp(y, -1024).mean()), 1024)
+    assert 1.0e308 < est.ci[0] < est.mean < est.ci[1] < 1.7e308
+
+
+def test_mean_ci_naive_interval_beyond_the_float_range_raises_numeric_error():
+    # mean 1.35e308 and se 3.5e307: the upper endpoint overflows
+    with pytest.raises(NumericError, match=r"interval mean \+- z \* se is beyond"):
+        mean_ci_naive([1.0e308, 1.7e308])
 
 
 # ---------------------------------------------------------------------------

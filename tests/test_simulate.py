@@ -215,6 +215,22 @@ def test_degree_confounded_covariate_loads_on_degree():
         degree_confounded_covariate(star, ConfoundConfig(b=1.0, noise=0.0))
 
 
+@pytest.mark.parametrize("simulate, cfg, message", [
+    (direct_transmission, TransmissionConfig(sigma=1e308, seed=1),
+     "sigma is too large: sigma=1e+308 overflows the transmission process at kappa=3"),
+    (latent_variable_outcome, LatentConfig(noise=1e308, seed=1),
+     "noise is too large: noise=1e+308 overflows the latent outcome"),
+    (degree_confounded_covariate, ConfoundConfig(b=1e308, seed=1),
+     "b and noise are too large: b=1e+308 and noise=1.0 overflow the covariate"),
+], ids=["transmission", "latent", "degree-confound"])
+def test_generators_name_the_setting_that_overflows_them(simulate, cfg, message):
+    # no NaN or inf leaves a generator, and its overflow warnings stay silent
+    net = random_network(np.random.default_rng(9), 30, p=0.2)
+    with pytest.raises(InputError) as info:
+        simulate(net, cfg)
+    assert str(info.value) == message
+
+
 def test_monotone_pair_is_exactly_comonotone():
     for seed in range(30):
         x, y = monotone_pair(40, seed=seed)
