@@ -145,9 +145,37 @@ def _edge_weights(net):
     return net.adjacency
 
 
+_SWEEP_LEVELS = 64
+
+
 def geodesic_distances(net):
-    """All-pairs shortest-path lengths (hop counts); unreachable pairs are np.inf."""
-    return csgraph.shortest_path(net.adjacency, method="D", directed=False, unweighted=True)
+    """All-pairs shortest-path lengths (hop counts); unreachable pairs are np.inf.
+
+    One breadth-first sweep runs from every node at once: row i of ``seen``
+    holds one bit per node within the current hop count of i. Each hop level
+    costs a pass over n×n one-byte counts, so a graph still open after 64 levels
+    (a hop diameter of 64 or more: long paths, unrewired ring lattices) goes
+    to csgraph's search instead, which is fast on exactly those graphs.
+    """
+    a, n = net.adjacency, net.n
+    seen = front = np.packbits(np.eye(n, -(-n // 64) * 64, dtype=bool),
+                               axis=1, bitorder="little").view("<u8")
+    hops = np.zeros((n, n), dtype=np.uint8)  # levels at which j is out of reach of i
+    rows = np.flatnonzero(np.diff(a.indptr))
+    for level in range(_SWEEP_LEVELS):
+        unseen = ~seen
+        hops += np.unpackbits(unseen.view(np.uint8), axis=1, count=n, bitorder="little")
+        ring = np.zeros_like(seen)
+        ring[rows] = np.bitwise_or.reduceat(front[a.indices], a.indptr[rows], axis=0)
+        ring &= unseen
+        if not ring.any():  # closed: hops > level only where j is never reached
+            hops = hops.astype(float)
+            hops[hops > level] = np.inf
+            return hops
+        seen |= ring
+        front = ring
+    del hops
+    return csgraph.shortest_path(a, method="D", directed=False, unweighted=True)
 
 
 def inverse_geodesic_weights(net, gamma=1.0):
@@ -157,7 +185,7 @@ def inverse_geodesic_weights(net, gamma=1.0):
     """
     _real("gamma", gamma, 0, strict=True)
     d = geodesic_distances(net)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         w = 1.0 / d**gamma
     w[~np.isfinite(w)] = 0.0
     np.fill_diagonal(w, 0.0)

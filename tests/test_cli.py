@@ -149,6 +149,23 @@ def test_cli_weights_spec(small_case, run_cli):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_inverse_geodesic_at_gamma_2000_equals_adjacency_without_a_warning(run_cli,
+                                                                              tmp_path):
+    # d**2000 overflows beyond one hop; the weights take the limit 1/inf = 0
+    edges, values = str(tmp_path / "edges.csv"), str(tmp_path / "y.csv")
+    assert run_cli("generate-network", "--n", "40", "--p", "0.12", "--seed", "6",
+                   "--out", edges)[0] == 0
+    assert run_cli("simulate", "--model", "latent", "--edges", edges, "--seed", "1",
+                   "--out", values)[0] == 0
+    code, out, err = run_cli("test", "--edges", edges, "--values", values,
+                             "--weights", "inverse-geodesic:2000")
+    assert code == 0
+    assert "Warning" not in err
+    result = json.loads(out)["result"]
+    assert (result["statistic"], result["s0"]) == (-0.08203718485179172, 186.0)
+
+
 @pytest.mark.filterwarnings("ignore:normal approximation:UserWarning")
 @pytest.mark.parametrize("weights", ["adjacency", "inverse-geodesic"])
 @pytest.mark.parametrize("edges, values, p_perm", [

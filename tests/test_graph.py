@@ -140,13 +140,60 @@ def test_geodesic_path_and_disconnected():
     assert np.array_equal(d, d.T)
 
 
-def test_geodesic_matches_scipy():
+def _path(n):
+    return Network(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def _geodesic_cases():
     rng = np.random.default_rng(42)
     for _ in range(20):
-        net = random_network(rng, int(rng.integers(5, 25)), p=0.15)
+        yield random_network(rng, int(rng.integers(5, 25)), p=0.15)
+    for n in (63, 64, 65, 128, 129):  # either side of the 64-bit word boundary
+        yield random_network(rng, n, p=1.5 / n)  # isolated nodes, several components
+        yield generate_random_network(n, "small-world", k=4, rewire_prob=0.1, seed=n)
+    yield Network(150, ((0, 1), (1, 2), (70, 71), (140, 149)))
+    yield _path(64)  # hop diameter 63: the sweep closes at its last level
+    yield _path(65)  # hop diameter 64: csgraph's search takes over
+
+
+def test_geodesic_matches_scipy():
+    for net in _geodesic_cases():
         ours = geodesic_distances(net)
         ref = shortest_path(adjacency_weights(net), method="D", unweighted=True)
-        assert np.array_equal(ours, ref)
+        assert np.array_equal(ours, ref), net.n
+
+
+def _sw300():
+    return generate_random_network(300, "small-world", k=4, rewire_prob=0.05, seed=0)
+
+
+@pytest.mark.parametrize("net, calls", [(_sw300(), 0), (_path(64), 0), (_path(65), 1)],
+                         ids=["small-world-300", "path-64", "path-65"])
+def test_geodesic_sweep_hands_only_high_diameter_graphs_to_csgraph(monkeypatch, net, calls):
+    made = []
+    search = graph.csgraph.shortest_path
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(graph.csgraph, "shortest_path", counted)
+    geodesic_distances(net)
+    assert len(made) == calls
+
+
+@pytest.mark.parametrize("net", [_sw300(), _path(300)], ids=["small-world-300", "path-300"])
+def test_geodesic_peak_memory_is_the_result_plus_a_quarter(net):
+    import tracemalloc
+
+    net.adjacency  # cached before tracing
+    tracemalloc.start()
+    try:
+        geodesic_distances(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * net.n**2, peak / (8 * net.n**2)
 
 
 def test_inverse_geodesic_weights_values():
@@ -158,6 +205,9 @@ def test_inverse_geodesic_weights_values():
 
     w2 = inverse_geodesic_weights(net, gamma=2.0)
     assert w2[0, 2] == 0.25
+
+    # d**2000 overflows to inf beyond one hop, and 1/inf = 0 is the limit
+    assert np.array_equal(inverse_geodesic_weights(net, gamma=2000.0), adjacency_weights(net))
 
     with pytest.raises(InputError):
         inverse_geodesic_weights(net, gamma=0.0)
