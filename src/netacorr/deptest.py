@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import (DegenerateStatisticError, InputError, _check_y, _choice, _count,
-                     _float_array)
+                     _float_array, _scaled, _unscaled)
 
 __all__ = [
     "NullMoments",
@@ -44,11 +44,10 @@ _ALTERNATIVES = ("greater", "two-sided")
 class NullMoments:
     """Moments of Moran's I under random relabelling, plus the weight sums.
 
-    s1 and s2 are of degree 2 in w, so they leave the float range long
-    before w does: they are reported as the nearest float to the exact sum,
-    which is inf above the float range and 0 or subnormal below it. The
-    moments are computed from the sums of w scaled by a power of two and do
-    not depend on the reported s1 and s2.
+    The moments are read from w scaled by a power of two (_check_w). The
+    sums are the nearest floats to the exact ones: inf above the float range,
+    0 or subnormal below it, which s1 and s2, of degree 2 in w, reach long
+    before w does.
     """
 
     mean_i: float
@@ -66,7 +65,7 @@ class MoranResult:
     moments, i_std and p_normal are None when the normal approximation was
     not computed (n < 4, or a null with zero variance such as a complete
     graph). p_perm is None for a pure normal-approximation test; m_used is
-    0 in that case.
+    0 in that case. s0 is the nearest float to the exact weight total.
     """
 
     i_stat: float
@@ -117,7 +116,7 @@ def morans_i(y, w):
     Positive values indicate that linked nodes carry similar values; the
     expectation under random relabelling is -1/(n-1), not 0.
     """
-    y, w, d, ss, s0 = _validate(y, w)
+    w, d, ss, s0, _ = _validate(y, w)
     return float(_moran_rows(d[None], w, s0, ss)[0])
 
 
@@ -129,14 +128,17 @@ def gearys_c(y, w):
     Values below 1 indicate positive dependence. Same input contract as
     :func:`morans_i`.
     """
-    y, w, d, ss, s0 = _validate(y, w)
+    w, d, ss, s0, _ = _validate(y, w)
     if sparse.issparse(w):
         c = w.tocoo()
         num = float((c.data * (d[c.row] - d[c.col]) ** 2).sum())
     else:
-        diff2 = (d[:, None] - d[None, :]) ** 2
-        num = float((w * diff2).sum())
-    return float((len(y) - 1) * num / (2.0 * s0 * ss))
+        # squared and weighted in place: one n x n temporary beside w
+        diff2 = np.subtract.outer(d, d)
+        diff2 *= diff2
+        diff2 *= w
+        num = float(diff2.sum())
+    return float((len(d) - 1) * num / (2.0 * s0 * ss))
 
 
 def null_moments(y, w):
@@ -153,35 +155,28 @@ def null_moments(y, w):
     S2 = sum_i (row_i + col_i)^2 and b2 = n * sum d^4 / (sum d^2)^2 the
     sample kurtosis of y (population normalization). Requires n >= 4.
     """
-    y, w, d, ss, s0 = _validate(y, w)
-    n = len(y)
-    if n < 4:
-        raise InputError(f"null moments need n >= 4, got n={n}")
-    return _moments(d, w, ss, s0)
+    w, d, ss, s0, e = _validate(y, w)
+    if len(d) < 4:
+        raise InputError(f"null moments need n >= 4, got n={len(d)}")
+    return _moments(d, w, ss, s0, e)
 
 
-def _moments(d, w, ss, s0):
+def _moments(d, w, ss, s0, e):
     """Randomization moments of I for validated centred values d (n >= 4).
 
-    The sums are read from t = w + w' on w scaled by a power of two so that
-    its largest entry lies in [1/2, 1): they can neither overflow nor go
-    subnormal for any finite w. var_i is of degree 0 in S0, S1 and S2, so the
-    exact scale moves no moment. The expressions serve dense and sparse w
-    alike: for a scipy sparse array ``** 2`` is element-wise and the axis
-    sum is a 1-D array.
+    w, s0 and e come from _check_w, whose scale keeps the sums read from
+    t = w + w' in the float range for any finite w. var_i is of degree 0 in
+    S0, S1 and S2, so the scale moves no moment; the sums are reported scaled
+    back. The expressions serve dense and sparse w alike: for a scipy sparse
+    array ``*`` is element-wise and the axis sum is a 1-D array.
     """
     n = len(d)
-    e = math.frexp(float(w.max()))[1]
-    if sparse.issparse(w):
-        w = sparse.csr_array((np.ldexp(w.data, -e), w.indices, w.indptr), shape=w.shape)
-    else:
-        w = np.ldexp(w, -e)
     t = w + w.T
-    del w  # free the scaled copy: t and t**2 are then the only n x n temporaries
-    # the scaled S0, S1 and S2; the row sums of t are the rows plus the columns of w
+    # the scaled S0, S2 and, squaring t in place (one n x n temporary), S1
     t0 = float(t.sum()) / 2.0
-    t1 = float((t**2).sum()) / 2.0
     t2 = float((t.sum(axis=1) ** 2).sum())
+    t *= t
+    t1 = float(t.sum()) / 2.0
     b2 = float(n * (d**4).sum() / ss**2)
     mean_i = -1.0 / (n - 1)
     num = n * ((n * n - 3 * n + 3) * t1 - n * t2 + 3 * t0 * t0) - b2 * (
@@ -189,16 +184,8 @@ def _moments(d, w, ss, s0):
     )
     den = (n - 1) * (n - 2) * (n - 3) * t0 * t0
     var_i = num / den - mean_i * mean_i
-    return NullMoments(mean_i=mean_i, var_i=float(var_i), s0=s0, s1=_unscaled(t1, 2 * e),
-                       s2=_unscaled(t2, 2 * e), b2=b2)
-
-
-def _unscaled(x, e):
-    """x * 2^e, or inf where that is beyond the float range."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.inf
+    return NullMoments(mean_i=mean_i, var_i=float(var_i), s0=_unscaled(s0, e),
+                       s1=_unscaled(t1, 2 * e), s2=_unscaled(t2, 2 * e), b2=b2)
 
 
 def enumerate_null(y, w):
@@ -209,8 +196,8 @@ def enumerate_null(y, w):
     over the n! values and values is the full array in itertools
     permutation order.
     """
-    y, w, d, ss, s0 = _validate(y, w)
-    n = len(y)
+    w, d, ss, s0, _ = _validate(y, w)
+    n = len(d)
     if n > _ENUM_CAP:
         raise InputError(f"enumeration is factorial; capped at n <= {_ENUM_CAP}, got {n}")
     perms = np.array(list(permutations(range(n))), dtype=np.intp)
@@ -241,9 +228,9 @@ def permutation_test(y, w, cfg=None):
         cfg = PermutationConfig()
     m, seed = _count("m", cfg.m, 1), _count("seed", cfg.seed, 0)
     alternative = _choice("alternative", cfg.alternative, _ALTERNATIVES)
-    res, w, d, ss = _observed(y, w, alternative)
+    res, w, d, ss, s0 = _observed(y, w, alternative)
     two_sided = alternative == "two-sided"
-    [hi], [lo] = _exceedances([(d, ss, res.i_stat)], w, res.s0, m, seed, m, two_sided)
+    [hi], [lo] = _exceedances([(d, ss, res.i_stat)], w, s0, m, seed, m, two_sided)
     p_perm = (1.0 + hi) / (m + 1.0)
     if two_sided:
         p_perm = min(1.0, 2.0 * min(p_perm, (1.0 + lo) / (m + 1.0)))
@@ -283,6 +270,8 @@ def _exceedances(vectors, w, s0, m, seed, cap, lower=False):
     any summation order (u = eps / 2, gamma_k = k u / (1 - k u)), and
     I = n q / (s0 ss) adds two roundings of size u over a shared
     denominator; two equal I differ by at most about n (2n + 3) eps / ss.
+    _check_w's scale, max w in [1/2, 1), keeps every sum finite and s0 >=
+    1/2, so underflow adds at most about n^2 2^-1074 to q, far inside that.
 
     The vectors share the stream: each block is drawn once and scored for
     every vector whose hi is still at most cap, as alone, and the draws
@@ -339,17 +328,17 @@ def normal_test(y, w, alternative="greater"):
 
 
 def _observed(y, w, alternative):
-    """(result, w, d, ss): the MoranResult of the observed I without p_perm,
-    then the checked w and the centred values and their sum of squares.
+    """(result, w, d, ss, s0): the MoranResult of the observed I without
+    p_perm, then w and s0 of _check_w around the centred values and ss.
 
     The moments are filled when n >= 4, and i_std and p_normal when the null
     variance is also positive and finite; for n < 30 a UserWarning then
     points at the caller of the public test.
     """
-    y, w, d, ss, s0 = _validate(y, w)
-    n = len(y)
+    w, d, ss, s0, e = _validate(y, w)
+    n = len(d)
     i_obs = float(_moran_rows(d[None], w, s0, ss)[0])
-    mom = _moments(d, w, ss, s0) if n >= 4 else None
+    mom = _moments(d, w, ss, s0, e) if n >= 4 else None
     i_std = p_normal = None
     if mom is not None and 0 < mom.var_i < math.inf:
         if n < _SMALL_N_NORMAL:
@@ -361,9 +350,9 @@ def _observed(y, w, alternative):
         tail = 0.5 * math.erfc(z / math.sqrt(2.0))
         p_normal = float(tail if alternative == "greater" else 2.0 * tail)
     return MoranResult(
-        i_stat=i_obs, n=n, s0=s0, moments=mom, i_std=i_std, p_normal=p_normal,
-        p_perm=None, m_used=0, alternative=alternative,
-    ), w, d, ss
+        i_stat=i_obs, n=n, s0=_unscaled(s0, e), moments=mom, i_std=i_std,
+        p_normal=p_normal, p_perm=None, m_used=0, alternative=alternative,
+    ), w, d, ss, s0
 
 
 def _moran_rows(dp, w, s0, ss):
@@ -383,19 +372,21 @@ def _moran_rows(dp, w, s0, ss):
 
 
 def _validate(y, w):
-    """Checked inputs of a statistic: (y, w, d, ss, s0).
+    """Checked inputs of a statistic: (w, d, ss, s0, e) of _check_w and _centre.
 
     The checks run in a fixed order, y's shape and values, then w, then the
     spread of y, so an input with several faults always names the same one.
     """
     y = _check_y(y)
-    w, s0 = _check_w(w, len(y))
+    w, s0, e = _check_w(w, len(y))
     d, ss = _centre(y)
-    return y, w, d, ss, s0
+    return w, d, ss, s0, e
 
 
 def _check_w(w, n):
-    """w as a float array or canonical CSR array, and its total S0."""
+    """(w * 2^-e, its total S0, e), w a float array or canonical CSR array:
+    the one copy of w, scaled by _scaled, that the statistic, Geary's c and
+    the moments read. For a sparse w only the nnz-sized data is copied."""
     is_sparse = sparse.issparse(w)
     if is_sparse and w.dtype.kind not in "biuf":
         raise InputError(f"w must be an array of real numbers, got dtype {w.dtype}")
@@ -418,7 +409,9 @@ def _check_w(w, n):
         raise InputError("w must have a zero diagonal")
     if not (entries > 0).any():
         raise DegenerateStatisticError("all weights are zero (no ties between nodes)")
-    return w, float(w.sum())
+    entries, e = _scaled(entries)
+    w = sparse.csr_array((entries, w.indices, w.indptr), shape=w.shape) if is_sparse else entries
+    return w, float(w.sum()), e
 
 
 def _centre(y):
@@ -430,9 +423,8 @@ def _centre(y):
     y. A power-of-two scale is exact, and every statistic and moment is of
     degree 0 in d, so the scale moves no result.
     """
-    y = np.ldexp(y, -math.frexp(float(np.abs(y).max()))[1])
-    d = y - y.mean()
-    d = np.ldexp(d, -math.frexp(float(np.abs(d).max()))[1])
+    y, _ = _scaled(y)
+    d, _ = _scaled(y - y.mean())
     ss = float(d @ d)
     if ss == 0.0:
         raise DegenerateStatisticError("zero-variance values: statistic undefined")

@@ -91,6 +91,22 @@ def _float_array(name, value):
         raise InputError(f"{name} must be an array of real numbers: {exc}") from None
 
 
+def _scaled(v):
+    """(v * 2^-e, e), e the binary exponent of max |v|: max |v * 2^-e| lies in
+    [1/2, 1), so no sum of it leaves the float range. The scale is exact
+    but for entries below 2^-1022 max |v|."""
+    e = math.frexp(float(np.abs(v).max()))[1]
+    return np.ldexp(v, -e), e
+
+
+def _unscaled(x, e):
+    """x * 2^e, or an infinity of x's sign where that is beyond the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def _check_y(y):
     """y as a 1-D float array of at least 2 finite values."""
     y = _float_array("y", y)

@@ -207,7 +207,7 @@ def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
     cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
             for k in _cells("kappa_list", kappa_list)]
     kappa_list = [cfg.kappa for cfg in cfgs]
-    w, s0 = _check_w(_edge_weights(net), net.n)
+    w, s0, _ = _check_w(_edge_weights(net), net.n)
 
     def one_rep(r):
         ys = [direct_transmission(net, cfg, rng=_rng(_COVER, seed, r, 0)) for cfg in cfgs]
@@ -245,7 +245,7 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
     cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
             for k in _cells("kappa_list", kappa_list)]
     kappa_list = [cfg.kappa for cfg in cfgs]
-    w, s0 = _check_w(_edge_weights(net), net.n)
+    w, s0, _ = _check_w(_edge_weights(net), net.n)
     n = net.n
     kmax = max(kappa_list)
     z = _z_quantile(level)
@@ -304,7 +304,7 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
     _real("outcome_effect", outcome_effect)
     cfgs = [ConfoundConfig(b=b, noise=noise)._checked()
             for b in _cells("effect_sizes", effect_sizes)]
-    w, s0 = _check_w(_edge_weights(net), net.n)
+    w, s0, _ = _check_w(_edge_weights(net), net.n)
     n = net.n
     zdeg = standardized_degrees(net)
     rng_y = _rng(_DEGREE, seed, 0, 0)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (BadCovarianceError, InputError, NumericError, SingularDesignError,
-                     _check_y, _float_array, _real)
+                     _check_y, _float_array, _real, _scaled, _unscaled)
 
 __all__ = [
     "MeanEstimate",
@@ -69,8 +69,8 @@ def mean_ci_naive(y, level=0.95):
     y = _check_y(y)
     _real("level", level, 0, 1, strict=True)
     n = len(y)
-    e = _exponent(y)
-    m = math.ldexp(float(np.ldexp(y, -e).mean()), e)
+    v, e = _scaled(y)
+    m = _unscaled(float(v.mean()), e)
     se = _sd(y) / math.sqrt(n)
     z = _z_quantile(level)
     ci = (m - z * se, m + z * se)
@@ -93,13 +93,10 @@ def ols(y, x, level=0.95):
     _real("level", level, 0, 1, strict=True)
     beta, *_ = np.linalg.lstsq(x, y, rcond=None)
     resid = y - x @ beta
-    e = _exponent(resid)
-    r = np.ldexp(resid, -e)
-    try:
-        sigma2 = math.ldexp(float(r @ r) / (n - p), 2 * e)
-    except OverflowError:
-        raise NumericError("OLS residual variance is beyond the float range; "
-                           "rescale y") from None
+    r, e = _scaled(resid)
+    sigma2 = _unscaled(float(r @ r) / (n - p), 2 * e)
+    if sigma2 == math.inf:
+        raise NumericError("OLS residual variance is beyond the float range; rescale y")
     xtx_inv = np.linalg.inv(x.T @ x)
     se = np.sqrt(sigma2 * np.diagonal(xtx_inv))
     z = _z_quantile(level)
@@ -328,19 +325,14 @@ def _golden_mins(f, lo, hi, tol):
                 fd[i] = fx[i]
 
 
-def _exponent(v):
-    """The binary exponent of max |v|: v * 2^-e lies in (-1, 1)."""
-    return math.frexp(float(np.abs(v).max()))[1]
-
-
 def _sd(v):
     """v.std(ddof=1), computed on v scaled by a power of two so that no
     square overflows; the scale is exact, as the sd is of degree 1 in v."""
-    e = _exponent(v)
-    try:
-        return math.ldexp(float(np.ldexp(v, -e).std(ddof=1)), e)
-    except OverflowError:
-        raise NumericError("a standard deviation is beyond the float range") from None
+    s, e = _scaled(v)
+    sd = _unscaled(float(s.std(ddof=1)), e)
+    if sd == math.inf:
+        raise NumericError("a standard deviation is beyond the float range")
+    return sd
 
 
 def _z_quantile(level):

@@ -243,7 +243,7 @@ def test_sparse_permutation_stream_is_replicable_across_chunks():
                             for dp in _whole_chunks(d, 1030, 4)])
     assert len(dense) == 1030
     assert res.p_perm == (1 + int((dense >= i_obs).sum())) / (1030 + 1)
-    _, wv, d, ss, s0 = deptest._validate(y, net.adjacency)
+    wv, d, ss, s0, _ = deptest._validate(y, net.adjacency)
     assert sparse.issparse(wv)
     drawn = _null_stats(d, wv, s0, ss, 1030, 4)
     np.testing.assert_allclose(drawn, dense, rtol=1e-12, atol=0)
@@ -433,7 +433,7 @@ def test_early_stop_reject_bit_equals_full_test(seed, n, m, level, kinds, is_spa
         warnings.simplefilter("ignore", UserWarning)
         full = [permutation_test(y, w, PermutationConfig(m=m, seed=pseed)).p_perm <= alpha
                 for y in ys]
-    _, wv, d, ss, s0 = deptest._validate(ys[0], w)
+    wv, d, ss, s0, _ = deptest._validate(ys[0], w)
     assert deptest._rejects(ys, wv, s0, m, pseed, alpha) == full
     # rng.permuted draws a chunk row by row: 64-row blocks hold the same rows
     # as whole 512-row chunks scored at once
@@ -558,52 +558,82 @@ _W_SCALE_NET = generate_random_network(30, model="erdos-renyi", p=0.15, seed=4)
 
 
 @settings(deadline=None, max_examples=60)
-@given(k=st.integers(-1000, 1000), seed=st.integers(0, 2**32 - 1), sparse_w=st.booleans())
-@example(k=-1000, seed=0, sparse_w=False)
-@example(k=1000, seed=0, sparse_w=True)
+@given(k=st.integers(-1074, 1023), seed=st.integers(0, 2**32 - 1), sparse_w=st.booleans())
+@example(k=-1074, seed=0, sparse_w=False)
+@example(k=-1074, seed=0, sparse_w=True)
+@example(k=1023, seed=0, sparse_w=False)
+@example(k=1023, seed=0, sparse_w=True)
 def test_power_of_two_scale_of_w_moves_no_moment(k, seed, sparse_w):
-    # the moment sums are read from w scaled by a power of two, so w * 2^k
-    # gives the unscaled null variance over the whole float range: no S1 near
-    # 1e603 at k = 1000 and no subnormal sums at k = -1000
+    # _check_w scales w by a power of two once, and the statistic, Geary's c
+    # and the moments all read that copy, so w * 2^k gives the unscaled
+    # results bit for bit over the whole float range: no s0 of inf at
+    # k = 1023 and no subnormal products w x at k = -1074
     w = adjacency_weights(_W_SCALE_NET)
     y = np.random.default_rng(seed).standard_normal(_W_SCALE_NET.n)
-    scaled = np.ldexp(w, k)
-    scaled = sparse.csr_array(scaled) if sparse_w else scaled
-    got, want = normal_test(y, scaled), normal_test(y, w)
+    form = sparse.csr_array if sparse_w else np.asarray
+    scaled, w = form(np.ldexp(w, k)), form(w)
+    cfg = PermutationConfig(m=19, seed=seed)
+    got, want = permutation_test(y, scaled, cfg), permutation_test(y, w, cfg)
+    assert (got.i_stat, got.p_perm) == (want.i_stat, want.p_perm)
+    assert (got.i_std, got.p_normal) == (want.i_std, want.p_normal)
     assert got.moments.var_i == want.moments.var_i
-    assert abs(got.i_std - want.i_std) <= 1e-12 * abs(want.i_std)
-    assert abs(got.p_normal - want.p_normal) <= 1e-12 * want.p_normal
+    assert gearys_c(y, scaled) == gearys_c(y, w)
 
 
-@pytest.mark.parametrize("c", [1e150, 1e154, 1e160, 1e-300])
-def test_weights_far_from_one_give_the_unscaled_moments(c):
-    # S1 and S2 of w * c overflow at 1e154 and underflow at 1e-300 unless
-    # they are read from w scaled by a power of two
+@pytest.mark.parametrize("sparse_w", [False, True])
+@pytest.mark.parametrize("c", [1e150, 1e154, 1e160, 1e-300, 1e306, 1e308, 1e-320])
+def test_weights_far_from_one_give_the_unscaled_test(c, sparse_w):
+    # until w was read scaled by a power of two, S1 and S2 of w * c overflowed
+    # at 1e154 and underflowed at 1e-300, s0 * ss overflowed at 1e306 and s0
+    # at 1e308, and the products w x went subnormal at 1e-320; c is no power
+    # of two, so the results may move in their last bits
     w = adjacency_weights(_W_SCALE_NET)
     y = np.sin(np.arange(_W_SCALE_NET.n))
-    got, want = normal_test(y, c * w), normal_test(y, w)
+    cfg = PermutationConfig(m=99, seed=2)
+    want, want_c = permutation_test(y, w, cfg), gearys_c(y, w)
+    scaled = sparse.csr_array(c * w) if sparse_w else c * w
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, got_c = permutation_test(y, scaled, cfg), gearys_c(y, scaled)
+    assert abs(got.i_stat - want.i_stat) <= 1e-14 * abs(want.i_stat)
+    assert abs(got_c - want_c) <= 1e-14 * want_c
+    assert abs(got.i_std - want.i_std) <= 1e-14 * abs(want.i_std)
+    assert got.p_perm == want.p_perm
     assert abs(got.moments.var_i - want.moments.var_i) <= 1e-14 * want.moments.var_i
     assert abs(got.p_normal - want.p_normal) <= 1e-13 * want.p_normal
+    assert got.s0 == (math.inf if c == 1e308 else float(scaled.sum()))
 
 
 def test_weight_sums_beyond_the_float_range_are_reported_rounded():
     w = adjacency_weights(_W_SCALE_NET)
     y = np.sin(np.arange(_W_SCALE_NET.n))
     base = null_moments(y, w)
-    for k, s1, s2 in [(10, math.ldexp(base.s1, 20), math.ldexp(base.s2, 20)),
-                      (600, math.inf, math.inf), (-600, 0.0, 0.0)]:
+    for k, s0, s1, s2 in [
+            (10, math.ldexp(base.s0, 10), math.ldexp(base.s1, 20), math.ldexp(base.s2, 20)),
+            (600, math.ldexp(base.s0, 600), math.inf, math.inf),
+            (-600, math.ldexp(base.s0, -600), 0.0, 0.0),
+            (1023, math.inf, math.inf, math.inf),
+            (-1074, math.ldexp(base.s0, -1074), 0.0, 0.0)]:
         mom = null_moments(y, np.ldexp(w, k))
-        assert (mom.s0, mom.s1, mom.s2) == (math.ldexp(base.s0, k), s1, s2)
+        assert (mom.s0, mom.s1, mom.s2) == (s0, s1, s2)
         assert mom.var_i == base.var_i
+        assert normal_test(y, np.ldexp(w, k)).s0 == s0
 
 
-def test_dense_moments_hold_two_weight_sized_temporaries():
+@pytest.mark.parametrize("statistic", [
+    null_moments,
+    lambda y, w: permutation_test(y, w, PermutationConfig(m=200)),
+    gearys_c,
+], ids=["null_moments", "permutation_test", "gearys_c"])
+def test_dense_statistics_hold_two_weight_sized_temporaries(statistic):
+    # the scaled copy of w is one of the two: the moments square w + w' in
+    # place, and Geary's c its table of differences
     n = 400
     w = adjacency_weights(generate_random_network(n, model="erdos-renyi", seed=5))
     y = np.random.default_rng(6).standard_normal(n)
     tracemalloc.start()
     try:
-        null_moments(y, w)
+        statistic(y, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -900,9 +930,10 @@ def test_sparse_adjacency_scores_like_the_dense_one(seed, n, kind, m):
     dp = d[rng.permuted(np.tile(np.arange(n), (64, 1)), axis=1)]
     for dense in (w, asym):
         s0 = float(dense.sum())
-        sp, _ = deptest._check_w(sparse.csr_array(dense), n)
+        sp, _, e = deptest._check_w(sparse.csr_array(dense), n)
         terms = n * ((np.abs(dp) @ dense) * np.abs(dp)).sum(axis=1) / (s0 * ss)
-        gap = np.abs(deptest._moran_rows(dp, sp, s0, ss) - deptest._moran_rows(dp, dense, s0, ss))
+        scored = deptest._moran_rows(dp, sp, math.ldexp(s0, -e), ss)  # sp is scaled by 2^-e
+        gap = np.abs(scored - deptest._moran_rows(dp, dense, s0, ss))
         assert np.all(gap <= 1e-12 * terms)
 
 
