@@ -25,6 +25,7 @@ __all__ = [
     "transmission_operator",
     "transmission_covariance",
     "direct_transmission",
+    "latent_field",
     "latent_variable_outcome",
     "degree_confounded_covariate",
     "standardized_degrees",
@@ -86,44 +87,44 @@ class ConfoundConfig:
 
 
 def transmission_operator(net, a):
-    """One-step transmission matrix T = (1 - a) I + a P.
+    """One-step transmission matrix T = (1 - a) I + a P, as a dense n x n array.
 
     P is the row-normalized adjacency; a node with no neighbours keeps its
     own value (P_ii = 1), so T is always row-stochastic.
     """
     _real("a", a, 0, 1)
-    deg = degrees(net)
-    t = net.adjacency.toarray()
-    t *= (a / np.maximum(deg, 1))[:, None]
-    np.fill_diagonal(t, np.where(deg > 0, 1.0 - a, 1.0))
-    return t
+    return _transmit(net, a, np.eye(net.n))
+
+
+def _transmit(net, a, y):
+    """T y for a vector or an (n, k) block y, in O(edges) per column. The
+    neighbour sums are taken on y * s, s = 2^-j < 1 / max degree, so none
+    leaves the float range where T y does not."""
+    deg = degrees(net).reshape((-1,) + (1,) * (y.ndim - 1))
+    s = 0.5 ** int(deg.max()).bit_length()
+    out = net.adjacency @ (y * s)
+    out *= a / np.maximum(deg, 1) / s
+    out += np.where(deg > 0, 1.0 - a, 1.0) * y
+    return out
 
 
 def transmission_covariance(net, a, sigma, kappa):
     """Exact covariance of the transmission process after kappa steps.
 
     With Y0 ~ N(0, I) and Yt = T Y(t-1) + sigma * eps_t, eps_t iid standard
-    normal, the covariance obeys Sigma_t = T Sigma_(t-1) T' + sigma^2 I.
-    Unrolling from Sigma_0 = I:
-
-        Sigma_kappa = T^kappa (T^kappa)' + sigma^2 * sum_{s=0}^{kappa-1} T^s (T^s)'
-
-    Returned exactly symmetric (the average with its transpose is taken to
-    scrub accumulated rounding).
+    normal, the covariance obeys Sigma_t = T Sigma_(t-1) T' + sigma^2 I from
+    Sigma_0 = I. Returned exactly symmetric (the average with its transpose
+    is taken to scrub accumulated rounding).
     """
     kappa = TransmissionConfig(a=a, sigma=sigma, kappa=kappa)._checked().kappa
-    # Entries of Sigma + Sigma' reach 2 (1 + sigma^2 kappa); sigma**2 is taken even at kappa 0
+    # Entries of Sigma + Sigma' reach 2 (1 + sigma^2 kappa); kappa 0 checks sigma^2 too
     if not math.isfinite(2.0 * (1.0 + float(sigma) * float(sigma) * max(kappa, 1))):
         raise InputError(f"sigma is too large: sigma={sigma!r} overflows the transmission "
                          f"covariance at kappa={kappa}")
-    t = transmission_operator(net, a)
-    m = net.n
-    tk = np.eye(m)
-    acc = np.zeros((m, m))
+    cov = np.eye(net.n)
     for _ in range(kappa):
-        acc += tk @ tk.T
-        tk = t @ tk
-    cov = tk @ tk.T + sigma**2 * acc
+        cov = _transmit(net, a, _transmit(net, a, cov).T)  # T (T Sigma)' = T Sigma T'
+        cov.flat[::net.n + 1] += sigma**2
     return (cov + cov.T) / 2.0
 
 
@@ -139,12 +140,11 @@ def direct_transmission(net, cfg, rng=None):
     Raises InputError when sigma is so large that the values overflow.
     """
     cfg = cfg._checked()
-    t = transmission_operator(net, cfg.a)
     rng = _resolve_rng(cfg.seed, rng)
     y = rng.standard_normal(net.n)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.kappa):
-            y = t @ y + cfg.sigma * rng.standard_normal(net.n)
+            y = _transmit(net, cfg.a, y) + cfg.sigma * rng.standard_normal(net.n)
     return _finite(y, f"sigma is too large: sigma={cfg.sigma!r} overflows the transmission "
                       f"process at kappa={cfg.kappa}")
 

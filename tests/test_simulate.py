@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import netacorr
 from netacorr import (
     ConfoundConfig,
     DegenerateStatisticError,
@@ -10,6 +13,7 @@ from netacorr import (
     TransmissionConfig,
     degree_confounded_covariate,
     direct_transmission,
+    generate_random_network,
     geodesic_distances,
     latent_field,
     latent_variable_outcome,
@@ -18,6 +22,7 @@ from netacorr import (
     transmission_covariance,
     transmission_operator,
 )
+from netacorr.simulate import _transmit
 
 from conftest import random_network
 
@@ -49,6 +54,62 @@ def test_transmission_operator_limits_and_isolated_nodes():
         transmission_operator(net, 1.2)
     with pytest.raises(InputError):
         transmission_operator(net, -0.1)
+
+
+def test_transmit_matches_the_dense_operator():
+    # the step reads the adjacency; the dense T is its oracle. The last two
+    # nodes have no neighbours and keep their values at every a.
+    rng = np.random.default_rng(31)
+    for _ in range(25):
+        n = int(rng.integers(4, 30))
+        net = Network(n, random_network(rng, n - 2, p=0.25).edges)
+        y, block = rng.standard_normal(n), rng.standard_normal((n, 3))
+        for a in (0.0, 1.0, float(rng.uniform(0, 1))):
+            t = transmission_operator(net, a)
+            for v in (y, block):
+                got = _transmit(net, a, v)
+                assert got.shape == v.shape
+                np.testing.assert_allclose(got, t @ v, rtol=0, atol=1e-14)
+                assert np.array_equal(got[-2:], v[-2:])
+        assert np.array_equal(_transmit(net, 0.0, y), y)
+        assert np.array_equal(_transmit(net, 0.0, block), block)
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_direct_transmission_builds_no_dense_operator():
+    # a dense T of this 3000-node ring alone takes 72 MB
+    ring = generate_random_network(3000, model="small-world", k=4, rewire_prob=0.0)
+    peak = _traced_peak(lambda: direct_transmission(ring, TransmissionConfig(kappa=3, seed=1)))
+    assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MB"
+
+
+def test_transmission_covariance_holds_at_most_five_dense_matrices():
+    # the version that built a dense T peaked at 5.051 n x n here
+    net = generate_random_network(400, model="erdos-renyi", seed=2)
+    net.adjacency  # cached before tracing
+    peak = _traced_peak(lambda: transmission_covariance(net, 0.5, 0.5, 3))
+    assert peak <= 5.05 * 8 * net.n**2, f"{peak / (8 * net.n**2):.2f} n x n"
+
+
+def test_direct_transmission_on_a_hub_near_the_float_max():
+    # values near 1e307 stay finite, though the hub's 100 neighbours sum
+    # beyond the float range unless the step scales them first
+    star = Network(101, tuple((0, j) for j in range(1, 101)))
+    t = transmission_operator(star, 0.5)
+    gen = np.random.default_rng(1)
+    expect = gen.standard_normal(101)
+    for _ in range(3):
+        expect = t @ expect + 1e307 * gen.standard_normal(101)
+    got = direct_transmission(star, TransmissionConfig(a=0.5, sigma=1e307, kappa=3, seed=1))
+    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e295)
 
 
 def test_transmission_covariance_recursion():
@@ -257,3 +318,15 @@ def test_shared_rng_is_respected():
     gen2 = np.random.default_rng(123)
     b = direct_transmission(PATH3, TransmissionConfig(kappa=1, seed=999), rng=gen2)
     assert np.array_equal(a, b)
+
+
+def test_package_exports_exactly_the_module_exports():
+    # latent_field was exported by the package but missing from simulate.__all__
+    from netacorr import deptest, experiments, graph, inference, simulate
+
+    modules = set().union(*(m.__all__ for m in (graph, deptest, simulate, inference, experiments)))
+    errors = {"NetacorrError", "InputError", "SingularDesignError", "BadCovarianceError",
+              "DegenerateStatisticError", "NumericError"}
+    assert len(set(netacorr.__all__)) == len(netacorr.__all__)
+    assert set(netacorr.__all__) == modules | errors | {"__version__"}
+    assert all(hasattr(netacorr, name) for name in netacorr.__all__)
