@@ -16,7 +16,6 @@ from .deptest import (
     MoranResult,
     NullMoments,
     PermutationConfig,
-    enumerate_null,
     gearys_c,
     morans_i,
     normal_test,
@@ -71,7 +70,6 @@ from .simulate import (
     monotone_pair,
     standardized_degrees,
     transmission_covariance,
-    transmission_operator,
 )
 
 __all__ = [
@@ -79,8 +77,8 @@ __all__ = [
     "Network", "load_edge_list", "adjacency_weights", "inverse_geodesic_weights",
     "geodesic_distances", "degrees", "is_connected", "generate_random_network",
     "NullMoments", "MoranResult", "PermutationConfig", "morans_i", "gearys_c",
-    "null_moments", "enumerate_null", "permutation_test", "normal_test",
-    "TransmissionConfig", "LatentConfig", "ConfoundConfig", "transmission_operator",
+    "null_moments", "permutation_test", "normal_test",
+    "TransmissionConfig", "LatentConfig", "ConfoundConfig",
     "transmission_covariance", "direct_transmission", "latent_field",
     "latent_variable_outcome", "degree_confounded_covariate",
     "standardized_degrees", "monotone_pair",

@@ -15,6 +15,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from ._version import SCHEMA_VERSION, __version__
 from .errors import InputError
 
@@ -123,8 +125,16 @@ def document(**fields):
 
 def json_text(doc):
     """doc as strict JSON: a NaN or an infinity raises ValueError, never a bare
-    NaN or Infinity in the text."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    NaN or Infinity in the text. A numpy scalar, as a caller's input echoed
+    in a report, is written as the Python number it holds."""
+    return json.dumps(doc, indent=2, allow_nan=False, default=_python_scalar) + "\n"
+
+
+def _python_scalar(value):
+    """The Python number a numpy scalar holds; any other object is not JSON."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @contextlib.contextmanager

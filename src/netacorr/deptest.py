@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import permutations
 from typing import Optional
 
 import numpy as np
@@ -28,13 +27,11 @@ __all__ = [
     "morans_i",
     "gearys_c",
     "null_moments",
-    "enumerate_null",
     "permutation_test",
     "normal_test",
 ]
 
 _SMALL_N_NORMAL = 30
-_ENUM_CAP = 8
 _CHUNK = 512
 _BLOCK = 64
 _ALTERNATIVES = ("greater", "two-sided")
@@ -186,24 +183,6 @@ def _moments(d, w, ss, s0, e):
     var_i = num / den - mean_i * mean_i
     return NullMoments(mean_i=mean_i, var_i=float(var_i), s0=_unscaled(s0, e),
                        s1=_unscaled(t1, 2 * e), s2=_unscaled(t2, 2 * e), b2=b2)
-
-
-def enumerate_null(y, w):
-    """Brute-force null distribution of I over all n! relabellings.
-
-    Only for cross-checks on tiny graphs (n <= 8). Returns
-    (mean, variance, values) where variance is the population variance
-    over the n! values and values is the full array in itertools
-    permutation order.
-    """
-    w, d, ss, s0, _ = _validate(y, w)
-    n = len(d)
-    if n > _ENUM_CAP:
-        raise InputError(f"enumeration is factorial; capped at n <= {_ENUM_CAP}, got {n}")
-    perms = np.array(list(permutations(range(n))), dtype=np.intp)
-    dp = d[perms]
-    vals = _moran_rows(dp, w, s0, ss)
-    return float(vals.mean()), float(vals.var()), vals
 
 
 def permutation_test(y, w, cfg=None):

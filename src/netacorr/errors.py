@@ -5,8 +5,8 @@ types should subclass one of the three mid-level classes rather than
 NetacorrError directly.
 
 Every public entry point checks its arguments with the helpers below, so
-one rule decides what counts as a valid count, real, choice, list of cells
-or numeric array, and the InputError names the parameter first.
+one rule decides what counts as a valid count, real, choice, flag, list of
+cells or numeric array, and the InputError names the parameter first.
 """
 
 import math
@@ -70,6 +70,13 @@ def _choice(name, value, options):
     if isinstance(value, str) and value in options:
         return value
     raise InputError(f"{name} must be one of {', '.join(map(repr, options))}, got {value!r}")
+
+
+def _flag(name, value):
+    """value as a Python bool, if it is a Python or numpy bool."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise InputError(f"{name} must be True or False, got {value!r}")
 
 
 def _cells(name, values, least=1):

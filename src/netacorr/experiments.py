@@ -40,7 +40,7 @@ import numpy as np
 
 from ._io import document, json_text, records_csv_text, write_text, writing
 from .deptest import _centre, _check_w, _rejects
-from .errors import BadCovarianceError, InputError, _cells, _choice, _count, _real
+from .errors import BadCovarianceError, InputError, _cells, _choice, _count, _flag, _real
 from .graph import _edge_weights, adjacency_weights
 from .inference import (
     _check_design,
@@ -242,6 +242,7 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
     threads = _count("threads", threads, 1)
     _real("alpha", alpha, 0, 1, strict=True)
     _real("level", level, 0, 1, strict=True)
+    include_permuted_baseline = _flag("include_permuted_baseline", include_permuted_baseline)
     cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
             for k in _cells("kappa_list", kappa_list)]
     kappa_list = [cfg.kappa for cfg in cfgs]
@@ -302,6 +303,7 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
     _real("alpha", alpha, 0, 1, strict=True)
     _real("level", level, 0, 1, strict=True)
     _real("outcome_effect", outcome_effect)
+    control_degree = _flag("control_degree", control_degree)
     cfgs = [ConfoundConfig(b=b, noise=noise)._checked()
             for b in _cells("effect_sizes", effect_sizes)]
     w, s0, _ = _check_w(_edge_weights(net), net.n)

@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from ._io import expect_header, read_csv
-from .errors import DegenerateStatisticError, InputError, _choice, _count, _real
+from .errors import DegenerateStatisticError, InputError, _choice, _count, _flag, _real
 
 __all__ = [
     "Network",
@@ -235,6 +235,7 @@ def generate_random_network(n, model="erdos-renyi", *, p=None, k=4,
     """
     n = _count("n", n, 2)
     seed = _count("seed", seed, 0)
+    require_connected = _flag("require_connected", require_connected)
     if _choice("model", model, ("erdos-renyi", "small-world")) == "erdos-renyi":
         p = 5.0 / (n - 1) if p is None else _real("p", p, 0, 1)
         # Expected connected draws, from the Erdos-Renyi limit of P(connected).

@@ -22,7 +22,6 @@ __all__ = [
     "TransmissionConfig",
     "LatentConfig",
     "ConfoundConfig",
-    "transmission_operator",
     "transmission_covariance",
     "direct_transmission",
     "latent_field",
@@ -84,16 +83,6 @@ class ConfoundConfig:
         _real("b", self.b)
         _real("noise", self.noise, 0, strict=True)
         return replace(self, seed=_count("seed", self.seed, 0))
-
-
-def transmission_operator(net, a):
-    """One-step transmission matrix T = (1 - a) I + a P, as a dense n x n array.
-
-    P is the row-normalized adjacency; a node with no neighbours keeps its
-    own value (P_ii = 1), so T is always row-stochastic.
-    """
-    _real("a", a, 0, 1)
-    return _transmit(net, a, np.eye(net.n))
 
 
 def _transmit(net, a, y):

@@ -14,7 +14,6 @@ import pytest
 
 from netacorr import (
     adjacency_weights,
-    enumerate_null,
     gearys_c,
     monotone_pair,
     morans_i,
@@ -30,6 +29,7 @@ from netacorr.experiments import (
 )
 
 from conftest import random_network
+from oracles import enumerate_null
 
 pytestmark = pytest.mark.acceptance
 

@@ -19,10 +19,10 @@ from netacorr import (
     inverse_geodesic_weights,
     is_connected,
     load_edge_list,
-    transmission_operator,
 )
 
 from netacorr import graph
+from netacorr.simulate import _transmit
 
 from conftest import random_network
 
@@ -257,7 +257,7 @@ def test_graph_primitives_match_networkx(net, a):
     if net.edges:
         assert np.array_equal(adjacency_weights(net), nx.to_numpy_array(g, nodelist=range(net.n)))
 
-    t = transmission_operator(net, a)
+    t = _transmit(net, a, np.eye(net.n))
     for i in range(net.n):
         for j in range(net.n):
             if i == j:

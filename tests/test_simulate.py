@@ -20,52 +20,49 @@ from netacorr import (
     monotone_pair,
     standardized_degrees,
     transmission_covariance,
-    transmission_operator,
 )
 from netacorr.simulate import _transmit
 
 from conftest import random_network
+from oracles import transmission_matrix
 
 PATH3 = Network(3, ((0, 1), (1, 2)))
 
 
 def test_transmission_operator_path3_oracle():
-    t = transmission_operator(PATH3, 0.5)
     expect = np.array([
         [0.5, 0.5, 0.0],
         [0.25, 0.5, 0.25],
         [0.0, 0.5, 0.5],
     ])
-    np.testing.assert_allclose(t, expect, atol=0)
+    np.testing.assert_allclose(transmission_matrix(PATH3, 0.5), expect, atol=0)
+    np.testing.assert_allclose(_transmit(PATH3, 0.5, np.eye(3)), expect, atol=0)
 
 
 def test_transmission_operator_limits_and_isolated_nodes():
     net = Network(3, ((0, 1),))
-    assert np.array_equal(transmission_operator(net, 0.0), np.eye(3))
-    t = transmission_operator(net, 1.0)
+    assert np.array_equal(transmission_matrix(net, 0.0), np.eye(3))
+    t = transmission_matrix(net, 1.0)
     assert t[0, 1] == 1.0 and t[0, 0] == 0.0
     assert t[2, 2] == 1.0  # isolated node keeps its value
     rng = np.random.default_rng(3)
     for _ in range(5):
         g = random_network(rng, 12, p=0.2)
-        rows = transmission_operator(g, float(rng.uniform(0, 1))).sum(axis=1)
+        rows = transmission_matrix(g, float(rng.uniform(0, 1))).sum(axis=1)
         np.testing.assert_allclose(rows, 1.0, atol=1e-12)
-    with pytest.raises(InputError):
-        transmission_operator(net, 1.2)
-    with pytest.raises(InputError):
-        transmission_operator(net, -0.1)
 
 
 def test_transmit_matches_the_dense_operator():
-    # the step reads the adjacency; the dense T is its oracle. The last two
-    # nodes have no neighbours and keep their values at every a.
+    # the step reads the adjacency; T written out from its formula is the
+    # oracle. The last two nodes have no neighbours and keep their values at
+    # every a.
     rng = np.random.default_rng(31)
     for _ in range(25):
         n = int(rng.integers(4, 30))
         net = Network(n, random_network(rng, n - 2, p=0.25).edges)
         y, block = rng.standard_normal(n), rng.standard_normal((n, 3))
         for a in (0.0, 1.0, float(rng.uniform(0, 1))):
-            t = transmission_operator(net, a)
+            t = transmission_matrix(net, a)
             for v in (y, block):
                 got = _transmit(net, a, v)
                 assert got.shape == v.shape
@@ -103,7 +100,7 @@ def test_direct_transmission_on_a_hub_near_the_float_max():
     # values near 1e307 stay finite, though the hub's 100 neighbours sum
     # beyond the float range unless the step scales them first
     star = Network(101, tuple((0, j) for j in range(1, 101)))
-    t = transmission_operator(star, 0.5)
+    t = transmission_matrix(star, 0.5)
     gen = np.random.default_rng(1)
     expect = gen.standard_normal(101)
     for _ in range(3):
@@ -116,7 +113,7 @@ def test_transmission_covariance_recursion():
     # Sigma_k = T Sigma_{k-1} T' + sigma^2 I, Sigma_0 = I
     rng = np.random.default_rng(9)
     net = random_network(rng, 15, p=0.2)
-    t = transmission_operator(net, 0.6)
+    t = transmission_matrix(net, 0.6)
     prev = np.eye(15)
     for kappa in range(5):
         got = transmission_covariance(net, 0.6, 0.4, kappa)
@@ -143,7 +140,7 @@ def test_transmission_covariance_matches_simulation():
     # empirical covariance over many replicates vs the closed form
     rng = np.random.default_rng(14)
     net = random_network(rng, 25, p=0.2)
-    t = transmission_operator(net, 0.6)
+    t = transmission_matrix(net, 0.6)
     reps = 40000
     ys = rng.standard_normal((reps, 25))
     for _ in range(3):
@@ -157,7 +154,7 @@ def test_direct_transmission_draw_order_contract():
     # y0 first, then one innovation vector per step, all from the same stream
     cfg = TransmissionConfig(a=0.5, sigma=0.5, kappa=3, seed=7)
     net = PATH3
-    t = transmission_operator(net, 0.5)
+    t = transmission_matrix(net, 0.5)
     gen = np.random.default_rng(7)
     y = gen.standard_normal(3)
     for _ in range(3):
@@ -178,7 +175,7 @@ def test_direct_transmission_kappa_zero_is_iid_field():
 def test_direct_transmission_sigma_zero_is_pure_mixing():
     net = Network(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
     cfg = TransmissionConfig(a=0.7, sigma=0.0, kappa=4, seed=2)
-    t = transmission_operator(net, 0.7)
+    t = transmission_matrix(net, 0.7)
     y0 = np.random.default_rng(2).standard_normal(4)
     expect = y0
     for _ in range(4):

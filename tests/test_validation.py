@@ -1,5 +1,5 @@
 """The shared scalar checks: every public entry point and config field
-rejects a bad count, real or choice with an InputError that names the
+rejects a bad count, real, choice or flag with an InputError that names the
 parameter first, before it draws a single random number."""
 
 import json
@@ -45,7 +45,6 @@ from netacorr import (
     run_gls_correction_experiment,
     run_spurious_regression_experiment,
     transmission_covariance,
-    transmission_operator,
     write_report,
 )
 
@@ -66,6 +65,7 @@ def real(outside):
 
 
 CHOICE = ["bogus", None, 1]
+FLAG = ["no", None, 1]
 
 # The five study runners, with small settings.
 RUNNERS = {
@@ -89,6 +89,8 @@ CASES = [
     ("generate_random_network", "seed", lambda v: generate_random_network(20, seed=v), count(0)),
     ("generate_random_network", "p", lambda v: generate_random_network(20, p=v), real(1.5)),
     ("generate_random_network", "model", lambda v: generate_random_network(20, v), CHOICE),
+    ("generate_random_network", "require_connected",
+     lambda v: generate_random_network(20, require_connected=v), FLAG),
     ("generate_random_network", "k",
      lambda v: generate_random_network(20, "small-world", k=v), count(2) + [3, 20]),
     ("generate_random_network", "rewire_prob",
@@ -101,7 +103,6 @@ CASES = [
     ("permutation_test", "alternative",
      lambda v: permutation_test(Y, W, PermutationConfig(alternative=v)), CHOICE),
     ("normal_test", "alternative", lambda v: normal_test(Y, W, v), CHOICE),
-    ("transmission_operator", "a", lambda v: transmission_operator(NET, v), real(1.5)),
     ("transmission_covariance", "a", lambda v: transmission_covariance(NET, v, 0.5, 2), real(1.5)),
     ("transmission_covariance", "sigma",
      lambda v: transmission_covariance(NET, 0.5, v, 2), real(-0.1)),
@@ -146,6 +147,10 @@ CASES = [
      runner("degree-confounding", "outcome_effect"), real(-math.inf)),
     ("run_degree_confounding_experiment", "noise", runner("degree-confounding", "noise"),
      real(0.0)),
+    ("run_degree_confounding_experiment", "control_degree",
+     runner("degree-confounding", "control_degree"), FLAG),
+    ("run_spurious_regression_experiment", "include_permuted_baseline",
+     runner("spurious-regression", "include_permuted_baseline"), FLAG),
     ("run_degree_confounding_experiment", "b",
      runner("degree-confounding", "effect_sizes", lambda v: (0.0, v)), real(-math.inf)),
     ("run_gls_correction_experiment", "lambda",
@@ -235,6 +240,19 @@ def test_numpy_integer_counts_are_accepted(tmp_path):
             doc = json.load(fh)
         assert doc["reps"] == report.reps and doc["rows"] == report.rows
     assert doc["config"]["settings"][1]["config"]["kappa"] == 2
+
+    # numpy scalars and arrays in a study's arguments are echoed in its
+    # report, and a JSON report writes them as the Python numbers they hold
+    inputs = [("degree-confounding", "effect_sizes", np.array([0, 1])),
+              ("gls-correction", "lambdas", np.array([0, 1])),
+              ("coverage", "alpha", np.float32(0.05)), ("coverage", "a", i(1)),
+              ("spurious-regression", "level", np.float32(0.9)),
+              ("degree-confounding", "outcome_effect", i(1)),
+              ("degree-confounding", "control_degree", np.True_)]
+    for name, key, value in inputs:
+        (path,) = write_report(runner(name, key)(value), tmp_path / key, fmt="json")
+        with open(path) as fh:
+            assert np.array_equal(json.load(fh)["config"][key], value), (key, value)
 
 
 def test_error_classes_carry_their_exit_codes():
