@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -19,7 +18,7 @@ from ._io import (csv_text, document, expect_header, flat_csv_text, json_text, r
                   write_text)
 from ._version import __version__
 from .deptest import PermutationConfig, gearys_c, normal_test, permutation_test
-from .errors import InputError, NetacorrError, _count
+from .errors import InputError, NetacorrError
 from .experiments import _STUDIES, EXPERIMENT_NAMES, write_report
 from .graph import (
     _edge_weights,
@@ -37,8 +36,6 @@ from .simulate import (
     latent_variable_outcome,
     monotone_pair,
 )
-
-THREADS_ENV = "NETACORR_THREADS"
 
 # Significance thresholds are a reporting convention, not part of the test.
 _ALPHA_NOTE = ("note: a fixed significance threshold may not be appropriate "
@@ -127,8 +124,6 @@ def build_parser():
                        help="default lmm")
     p_exp.add_argument("--kinship", choices=["transmission", "adjacency"], default=None,
                        help="default transmission")
-    p_exp.add_argument("--threads", type=_pos_int, default=None,
-                       help=f"replicate worker threads (default ${THREADS_ENV} or 1)")
     p_exp.add_argument("--format", choices=["csv", "json"], default="csv")
     p_exp.add_argument("--out", default=".", help="output directory")
     p_exp.set_defaults(func=cmd_experiment)
@@ -240,10 +235,9 @@ def cmd_experiment(args):
     runner, options = _STUDIES[args.name]
     _check_study_options(args, options)
     net = _experiment_network(args)
-    threads = _threads_for(args)
     kwargs = {kw: getattr(args, opt) for opt, kw in options.items()
               if getattr(args, opt) is not None}
-    run = runner(net, reps=args.reps, seed=args.seed, threads=threads, **kwargs)
+    run = runner(net, reps=args.reps, seed=args.seed, **kwargs)
     for path in write_report(run, args.out, fmt=args.format):
         print(path)
     for row in run.rows:
@@ -360,19 +354,6 @@ def _weights_for(net, spec):
     raise InputError(
         f"unknown weights spec {spec!r}; use adjacency or inverse-geodesic[:gamma]"
     )
-
-
-def _threads_for(args):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if not env:
-        return 1
-    try:
-        val = int(env)
-    except ValueError:
-        raise InputError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    return _count(THREADS_ENV, val, 1)
 
 
 def _load_values_csv(path, labels):

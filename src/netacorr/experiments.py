@@ -5,11 +5,11 @@ Every experiment returns an ExperimentReport: summary rows (one per
 setting, or cell), the per-replicate records behind them, and an echo of
 the full configuration. Replicate r of experiment E under master seed s
 draws from streams seeded SeedSequence((E, s, r, tag)), so runs are
-reproducible, replicates are independent, results do not depend on the
-thread count, and the same replicate shares its noise across cells (common
-random numbers). For the transmission process that means horizon kappa
-consumes a prefix of the draws of horizon kappa' > kappa, which makes
-monotone comparisons across kappa far less noisy. The permutation tests
+reproducible, replicates are independent, no result depends on the order
+in which the replicates run, and the same replicate shares its noise
+across cells (common random numbers). For the transmission process that
+means horizon kappa consumes a prefix of the draws of horizon kappa' >
+kappa, which makes monotone comparisons across kappa far less noisy. The permutation tests
 share their relabellings the same way: within a replicate, the tests of
 one tag in every cell run on that tag's one stream, so a runner hands all
 of them to deptest._rejects at once, and each block of relabellings is
@@ -18,8 +18,8 @@ drawn once and scored on the CSR adjacency for every cell still open.
 All five runners share one path, _run_study. A runner validates its
 arguments, lists its cells, and defines one_rep(r), which returns one tuple
 of values per cell in cell order; the first value is the cell's estimate
-(a mean, slope or correlation). _run_study maps one_rep over the replicates
-and builds, for each cell:
+(a mean, slope or correlation). _run_study calls one_rep for each replicate
+in turn, in one serial loop, and builds, for each cell:
 
 - one row: the cell's keys, then the row fields, then "reps". A field named
   in _ROW_STATS is that statistic over the replicates; any other name is
@@ -28,12 +28,14 @@ and builds, for each cell:
   is not a string (a per-run constant).
 - one record per replicate: the cell's keys (or rep_keys), "rep", then
   every column cast to its declared type.
+
+Every runner still takes a threads keyword and checks it as a count >= 1;
+it has no effect, since the replicates run serially.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,7 +158,7 @@ def run_correlation_distribution(net, settings=None, reps=500, seed=0, threads=1
     with cfg a TransmissionConfig or None for the iid baseline.
     """
     reps, seed = _count("reps", reps, 2), _count("seed", seed, 0)
-    threads = _count("threads", threads, 1)
+    _count("threads", threads, 1)
     labelled = _corr_settings(settings)
     n = net.n
 
@@ -175,15 +177,10 @@ def run_correlation_distribution(net, settings=None, reps=500, seed=0, threads=1
 
     cells = [{"label": label, **{k: getattr(cfg, k, None) for k in ("a", "sigma", "kappa")}}
              for label, cfg in labelled]
-    config = {
-        "n": net.n,
-        "settings": [
-            {"label": lab, "config": None if cfg is None else vars(cfg)}
-            for lab, cfg in labelled
-        ],
-        "threads": threads,
-    }
-    return _run_study("correlation-distribution", one_rep, reps, seed, threads, config,
+    config = {"n": net.n,
+              "settings": [{"label": lab, "config": None if cfg is None else vars(cfg)}
+                           for lab, cfg in labelled]}
+    return _run_study("correlation-distribution", one_rep, reps, seed, config,
                       cells, (("corr", float),),
                       (("corr_mean", "corr"), ("corr_sd", "sd_estimates"), "frac_abs_gt_half"),
                       rep_keys=("label",))
@@ -201,7 +198,7 @@ def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
     of the permutation dependence test on the same data.
     """
     reps, seed, m = _count("reps", reps, 2), _count("seed", seed, 0), _count("m", m, 1)
-    threads = _count("threads", threads, 1)
+    _count("threads", threads, 1)
     _real("alpha", alpha, 0, 1, strict=True)
     _real("level", level, 0, 1, strict=True)
     cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
@@ -217,8 +214,8 @@ def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
                 for est, bit in zip(ests, bits)]
 
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
-              "level": level, "alpha": alpha, "m": m, "threads": threads}
-    return _run_study("coverage", one_rep, reps, seed, threads, config,
+              "level": level, "alpha": alpha, "m": m}
+    return _run_study("coverage", one_rep, reps, seed, config,
                       [{"kappa": kappa} for kappa in kappa_list],
                       (("estimate", float), ("se", float), ("covered", int), ("reject_y", int)),
                       _ESTIMATE_FIELDS + ("reject_y",))
@@ -239,7 +236,7 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
     dependence test should reject at about the nominal rate.
     """
     reps, seed, m = _count("reps", reps, 2), _count("seed", seed, 0), _count("m", m, 1)
-    threads = _count("threads", threads, 1)
+    _count("threads", threads, 1)
     _real("alpha", alpha, 0, 1, strict=True)
     _real("level", level, 0, 1, strict=True)
     include_permuted_baseline = _flag("include_permuted_baseline", include_permuted_baseline)
@@ -265,8 +262,8 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
 
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
               "include_permuted_baseline": include_permuted_baseline,
-              "level": level, "alpha": alpha, "m": m, "threads": threads}
-    return _run_study("spurious-regression", one_rep, reps, seed, threads, config,
+              "level": level, "alpha": alpha, "m": m}
+    return _run_study("spurious-regression", one_rep, reps, seed, config,
                       [{"kappa": label} for label in labels],
                       _SLOPE_COLUMNS + (("reject_x", int), ("reject_y", int),
                                         ("reject_resid", int)),
@@ -299,7 +296,7 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
     (control_degree=True) restores centering and coverage.
     """
     reps, seed, m = _count("reps", reps, 2), _count("seed", seed, 0), _count("m", m, 1)
-    threads = _count("threads", threads, 1)
+    _count("threads", threads, 1)
     _real("alpha", alpha, 0, 1, strict=True)
     _real("level", level, 0, 1, strict=True)
     _real("outcome_effect", outcome_effect)
@@ -328,8 +325,8 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
     config = {"n": net.n, "effect_sizes": list(effect_sizes),
               "outcome_effect": outcome_effect, "noise": noise,
               "control_degree": control_degree, "level": level,
-              "alpha": alpha, "m": m, "threads": threads}
-    return _run_study("degree-confounding", one_rep, reps, seed, threads, config,
+              "alpha": alpha, "m": m}
+    return _run_study("degree-confounding", one_rep, reps, seed, config,
                       [{"b": b, "controlled": int(control_degree)} for b in effect_sizes],
                       _SLOPE_COLUMNS + (("reject_x", int), ("reject_resid", int)),
                       ("coverage", "bias", "mean_abs_error", ("mean_estimate", "slope"),
@@ -360,7 +357,7 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
     every lambda > 0.
     """
     reps, seed = _count("reps", reps, 2), _count("seed", seed, 0)
-    threads = _count("threads", threads, 1)
+    _count("threads", threads, 1)
     _choice("estimator", estimator, ("lmm", "gls"))
     _choice("kinship", kinship, ("transmission", "adjacency"))
     for lam in _cells("lambdas", lambdas):
@@ -370,7 +367,7 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
             for k in _cells("kappa_list", kappa_list)]
     kappa_list = [cfg.kappa for cfg in cfgs]
     n = net.n
-    # K depends on the cell, never on the replicate: factor it once per cell.
+    # K depends on the cell, never on the replicate: factor each distinct K once.
     factors = _cell_factors(net, kappa_list, lambdas, a, sigma, estimator, kinship)
     z = _z_quantile(level)
 
@@ -388,8 +385,8 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
 
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
               "lambdas": list(lambdas), "estimator": estimator,
-              "kinship": kinship, "level": level, "threads": threads}
-    return _run_study("gls-correction", one_rep, reps, seed, threads, config,
+              "kinship": kinship, "level": level}
+    return _run_study("gls-correction", one_rep, reps, seed, config,
                       [{"kappa": kappa, "lambda": lam, "estimator": estimator}
                        for kappa in kappa_list for lam in lambdas],
                       _SLOPE_COLUMNS, _ESTIMATE_FIELDS, rep_keys=("kappa", "lambda"))
@@ -423,10 +420,10 @@ def _slope_cell(beta, se, z):
     return slope, se, float(slope - z * se <= 0.0 <= slope + z * se)
 
 
-def _run_study(name, one_rep, reps, seed, threads, config, cells, columns,
+def _run_study(name, one_rep, reps, seed, config, cells, columns,
                row_fields, rep_keys=None):
     """Run one_rep over the replicates and assemble the report (see module doc)."""
-    per_rep = np.asarray(_map_reps(one_rep, reps, threads)).reshape(
+    per_rep = np.asarray([one_rep(r) for r in range(reps)]).reshape(
         reps, len(cells), len(columns))
     rows = []
     replicates = []
@@ -454,14 +451,18 @@ def _run_study(name, one_rep, reps, seed, threads, config, cells, columns,
 
 
 def _cell_factors(net, kappa_list, lambdas, a, sigma, estimator, kinship):
-    """{(kappa, lambda): the estimator's factor of K_lambda}; no K is kept."""
+    """{(kappa, lambda): the estimator's factor of K_lambda}, one factor per
+    distinct K_lambda; no K is kept."""
     factor = _lmm_factor if estimator == "lmm" else _gls_factor
     kin = _clipped_adjacency_kinship(net) if kinship == "adjacency" else None
     factors = {}
-    for kappa in kappa_list:
+    for kappa in dict.fromkeys(kappa_list):
+        if kin is not None and factors:  # the adjacency kinship is one K for every kappa
+            factors.update({(kappa, lam): factors[kappa_list[0], lam] for lam in lambdas})
+            continue
         base = kin if kin is not None else transmission_covariance(net, a, sigma, kappa)
         dbase = np.diag(np.diag(base))
-        for lam in lambdas:
+        for lam in dict.fromkeys(lambdas):
             try:
                 factors[kappa, lam] = factor((1.0 - lam) * base + lam * dbase, net.n)
             except BadCovarianceError as exc:
@@ -515,10 +516,3 @@ def _rng(exp, seed, rep, tag):
 
 def _seed_int(exp, seed, rep, tag):
     return int(np.random.SeedSequence((exp, seed, rep, tag)).generate_state(1, np.uint64)[0])
-
-
-def _map_reps(fn, reps, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(reps)))
-    return [fn(r) for r in range(reps)]

@@ -855,38 +855,25 @@ def test_cli_experiment_json(run_cli, tmp_path):
     assert len(doc["rows"]) == 4
 
 
-def test_cli_threads_env(small_case, run_cli, monkeypatch, tmp_path):
-    """NETACORR_THREADS sets the replicate threads of `experiment` only."""
+def test_cli_experiment_has_no_threads_option(small_case, run_cli, monkeypatch, tmp_path):
+    """`experiment` runs its replicates serially: it refuses --threads, reads
+    no NETACORR_THREADS and echoes no thread count in its config."""
     _, _, _, edges, values = small_case
+    args = ("experiment", "correlation-distribution", "--edges", edges, "--reps", "2",
+            "--format", "json", "--out", str(tmp_path))
 
-    def experiment(*extra):
-        code, out, err = run_cli("experiment", "correlation-distribution", "--edges", edges,
-                                 "--reps", "2", "--format", "json", "--out", str(tmp_path),
-                                 *extra)
-        if code != 0:
-            return code, None, err
-        with open(out.strip()) as fh:
-            return code, json.load(fh)["config"]["threads"], err
-
-    monkeypatch.setenv("NETACORR_THREADS", "3")
-    assert experiment()[:2] == (0, 3)
+    code, out, err = run_cli(*args, "--threads", "2")
+    assert code == 2
+    assert out == ""
+    assert "--threads" in err
 
     monkeypatch.setenv("NETACORR_THREADS", "zero")
-    code, _, err = experiment()
-    assert code == 2
-    assert "NETACORR_THREADS" in err
-
-    monkeypatch.setenv("NETACORR_THREADS", "0")
-    code, _, err = experiment()
-    assert code == 2
-    assert "NETACORR_THREADS must be an integer >= 1, got 0" in err
-
-    # an explicit flag wins over the environment
-    monkeypatch.setenv("NETACORR_THREADS", "3")
-    assert experiment("--threads", "2")[:2] == (0, 2)
+    code, out, _ = run_cli(*args)
+    assert code == 0
+    with open(out.strip()) as fh:
+        assert "threads" not in json.load(fh)["config"]
 
     # test runs serially and never reads the variable
-    monkeypatch.setenv("NETACORR_THREADS", "zero")
     code, out, _ = run_cli("test", "--edges", edges, "--values", values)
     assert code == 0
     assert "threads" not in json.loads(out)["options"]

@@ -289,10 +289,26 @@ def test_gls_experiment_factors_each_cell_once(monkeypatch, estimator, kinship,
     run_gls_correction_experiment(NET, kappa_list=kappas, lambdas=lambdas, reps=reps,
                                   seed=0, estimator=estimator, kinship=kinship,
                                   threads=2)
-    cells = len(kappas) * len(lambdas)
+    # the adjacency kinship is one K for every kappa
+    factored = len(lambdas) * (1 if kinship == "adjacency" else len(kappas))
     clip = int(kinship == "adjacency")  # the one eigh that clips the adjacency
-    assert calls.count("eigh") == (cells if estimator == "lmm" else 0) + clip
-    assert calls.count("cho") == (cells if estimator == "gls" else 0)
+    assert calls.count("eigh") == (factored if estimator == "lmm" else 0) + clip
+    assert calls.count("cho") == (factored if estimator == "gls" else 0)
+
+
+@pytest.mark.parametrize("estimator,kinship,lambdas", GLS_CONFIGS)
+def test_gls_experiment_factors_each_distinct_kinship_once(monkeypatch, estimator,
+                                                           kinship, lambdas):
+    name = "_lmm_factor" if estimator == "lmm" else "_gls_factor"
+    factor, factored = getattr(experiments, name), []
+    monkeypatch.setattr(experiments, name,
+                        lambda k, n: factored.append(k) or factor(k, n))
+    kappas = (1, 2, 3, 2)  # a repeated kappa, and a repeated lambda below
+    run = run_gls_correction_experiment(NET, kappa_list=kappas, lambdas=lambdas + lambdas[:1],
+                                        reps=2, seed=0, estimator=estimator, kinship=kinship)
+    distinct_kappas = 1 if kinship == "adjacency" else len(set(kappas))
+    assert len(factored) == distinct_kappas * len(lambdas)
+    assert len(run.rows) == len(kappas) * (len(lambdas) + 1)
 
 
 def test_correlation_distribution_default_settings():
