@@ -142,6 +142,18 @@ CASES = {
     "study-degree-confounding-controlled": _study(
         "degree-confounding", *_PERMS, "--reps", "5", "--effect-sizes", "0,1.5",
         "--control-degree"),
+    # The two boundary cases: at m = 19 a test rejects only when none of its
+    # 19 relabellings reaches I_obs, so many of their bits depend on which
+    # relabellings a test draws, and a change to the streams of the
+    # permutation tests shows here. The cases above rarely move with it.
+    "study-spurious-regression-boundary": _study(
+        "spurious-regression", "--permutations", "19", "--reps", "20", "--kappas", "0"),
+    # The outcome is drawn once per run, so its residual test sits near alpha
+    # or far from it in every replicate alike; seed 1 is the first seed from 0
+    # whose residual test rejects in some replicates and not in others.
+    "study-degree-confounding-boundary": _study(
+        "degree-confounding", "--permutations", "19", "--reps", "20", "--effect-sizes", "0",
+        "--seed", "1"),
     "study-gls-correction-lmm-transmission": _study(
         "gls-correction", "--reps", "3", "--kappas", "1,3", "--lambdas", "0,0.5"),
     "study-gls-correction-lmm-adjacency": _study(
