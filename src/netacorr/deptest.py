@@ -219,13 +219,15 @@ def permutation_test(y, w, cfg=None):
 def _rejects(ys, w, s0, m, seed, alpha):
     """Per y in ys, 1.0 where the upper-tail permutation_test with this m
     and seed has p_perm <= alpha, else 0.0; w and s0 come from _check_w.
+    An array given more than once is scored once.
 
     A test rejects when its exceedance count stays at or below cap, the
     largest h with (1 + h) / (m + 1) <= alpha in float arithmetic. Its
     draws stop once the count passes cap (the stop rule of Besag and
     Clifford, 1991, used only where the bit is fixed).
     """
-    vectors = [_centre(_check_y(y)) for y in ys]
+    unique = list({id(y): y for y in ys}.values())
+    vectors = [_centre(_check_y(y)) for y in unique]
     # int(alpha * (m + 1)) is never below cap: rounding moves it by far less
     # than the 1 / (m + 1) between neighbouring p-values.
     cap = int(alpha * (m + 1.0))
@@ -235,7 +237,8 @@ def _rejects(ys, w, s0, m, seed, alpha):
         return [0.0] * len(ys)
     hi, _ = _exceedances([(d, ss, _moran_rows(d[None], w, s0, ss)[0]) for d, ss in vectors],
                          w, s0, m, seed, cap)
-    return [float(h <= cap) for h in hi]
+    bits = {id(y): float(h <= cap) for y, h in zip(unique, hi)}
+    return [bits[id(y)] for y in ys]
 
 
 def _exceedances(vectors, w, s0, m, seed, cap, lower=False):

@@ -10,10 +10,12 @@ in which the replicates run, and the same replicate shares its noise
 across cells (common random numbers). For the transmission process that
 means horizon kappa consumes a prefix of the draws of horizon kappa' >
 kappa, which makes monotone comparisons across kappa far less noisy. The permutation tests
-share their relabellings the same way: within a replicate, the tests of
-one tag in every cell run on that tag's one stream, so a runner hands all
+share their relabellings the same way: every test of a replicate, in every
+cell, runs on the replicate's one relabelling stream, so a runner hands all
 of them to deptest._rejects at once, and each block of relabellings is
-drawn once and scored on the CSR adjacency for every cell still open.
+drawn once and scored on the CSR adjacency for every test still open. Each
+test still stops on its own count, so its bit is the one a permutation_test
+of its vector alone gives on that stream.
 
 All five runners share one path, _run_study. A runner validates its
 arguments, lists its cells, and defines one_rep(r), which returns one tuple
@@ -250,15 +252,12 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
     labels = list(kappa_list) + (["permuted"] if include_permuted_baseline else [])
 
     def one_rep(r):
-        seeds = [_seed_int(_SPUR, seed, r, tag) for tag in (2, 3, 4, 6, 7, 8)]
         pairs = [(direct_transmission(net, cfg, rng=_rng(_SPUR, seed, r, 0)),
                   direct_transmission(net, cfg, rng=_rng(_SPUR, seed, r, 1))) for cfg in cfgs]
-        out = _spurious_cells(pairs, w, s0, m, seeds[:3], z, alpha)
         if include_permuted_baseline:
             xk, yk = pairs[kappa_list.index(kmax)]
-            perm = _rng(_SPUR, seed, r, 5).permutation(n)
-            out += _spurious_cells([(xk, yk[perm])], w, s0, m, seeds[3:], z, alpha)
-        return out
+            pairs.append((xk, yk[_rng(_SPUR, seed, r, 5).permutation(n)]))
+        return _spurious_cells(pairs, w, s0, m, _seed_int(_SPUR, seed, r, 2), z, alpha)
 
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
               "include_permuted_baseline": include_permuted_baseline,
@@ -271,15 +270,15 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
                                           "reject_resid"))
 
 
-def _spurious_cells(pairs, w, s0, m, seeds, z, alpha):
+def _spurious_cells(pairs, w, s0, m, seed, z, alpha):
     """One row of values per (x, y) pair: the OLS slope of y on x, then the
-    reject bits of x, y and the residuals; all x tests share the stream
-    seeds[0], all y tests seeds[1] and all residual tests seeds[2]."""
+    reject bits of x, y and the residuals; every test runs on the one stream
+    seed, and an x shared by two pairs is scored once."""
     fits = [ols(y, np.column_stack([np.ones(len(x)), x])) for x, y in pairs]
-    tested = ([x for x, _ in pairs], [y for _, y in pairs], [fit.residuals for fit in fits])
-    bits = [_rejects(vs, w, s0, m, s, alpha) for vs, s in zip(tested, seeds)]
-    return [(*_slope_cell(fit.beta, fit.se, z), *cell_bits)
-            for fit, *cell_bits in zip(fits, *bits)]
+    tested = [v for (x, y), fit in zip(pairs, fits) for v in (x, y, fit.residuals)]
+    bits = _rejects(tested, w, s0, m, seed, alpha)
+    return [(*_slope_cell(fit.beta, fit.se, z), *bits[3 * j:3 * j + 3])
+            for j, fit in enumerate(fits)]
 
 
 def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
@@ -316,11 +315,10 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
               for cfg in cfgs]
         fits = [ols(y, np.column_stack([np.ones(n), x] + ([zdeg] if control_degree else [])))
                 for x in xs]
-        x_bits = _rejects(xs, w, s0, m, _seed_int(_DEGREE, seed, r, 3), alpha)
-        resid_bits = _rejects([fit.residuals for fit in fits], w, s0, m,
-                              _seed_int(_DEGREE, seed, r, 4), alpha)
-        return [(*_slope_cell(fit.beta, fit.se, z), *bits)
-                for fit, *bits in zip(fits, x_bits, resid_bits)]
+        bits = _rejects(xs + [fit.residuals for fit in fits], w, s0, m,
+                        _seed_int(_DEGREE, seed, r, 3), alpha)
+        return [(*_slope_cell(fit.beta, fit.se, z), x_bit, resid_bit)
+                for fit, x_bit, resid_bit in zip(fits, bits, bits[len(xs):])]
 
     config = {"n": net.n, "effect_sizes": list(effect_sizes),
               "outcome_effect": outcome_effect, "noise": noise,

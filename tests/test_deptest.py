@@ -474,6 +474,10 @@ def test_shared_stream_draws_once_and_scores_each_vector_as_alone(er_net, monkey
             assert bits == [alone[j][0][0] for j in picked]
             assert blocks == max(alone[j][1] for j in picked)
             assert rows == sum(alone[j][2] for j in picked)
+    # an array given twice is scored once, and its bit copied
+    bits, blocks, rows = run([ys[0], ys[4], ys[0]])
+    assert bits == [alone[0][0][0], alone[4][0][0], alone[0][0][0]]
+    assert rows == alone[0][2] + alone[4][2]
 
 
 def test_early_stop_cap_is_the_float_boundary(monkeypatch):

@@ -427,6 +427,23 @@ def test_reject_stops_drawing_only_once_the_bit_is_fixed(monkeypatch):
     assert drawn == []
 
 
+def test_each_replicate_runs_its_tests_on_one_relabelling_stream(monkeypatch):
+    streams = []
+    relabellings = deptest._relabellings
+    monkeypatch.setattr(deptest, "_relabellings",
+                        lambda *args: streams.append(args) or relabellings(*args))
+    reps = 8
+    spur = run_spurious_regression_experiment(NET, kappa_list=(0, 2), reps=reps, seed=1, m=99)
+    assert len(streams) == reps  # x, y and residual tests of every cell and the baseline
+    # the baseline regresses a relabelled y on the largest kappa's x: one
+    # array on one stream, so one bit
+    reject_x = {(rec["kappa"], rec["rep"]): rec["reject_x"] for rec in spur.replicates}
+    assert all(reject_x["permuted", r] == reject_x[2, r] for r in range(reps))
+    streams.clear()
+    run_degree_confounding_experiment(NET, effect_sizes=(0.0, 1.0), reps=reps, seed=1, m=99)
+    assert len(streams) == reps + 1  # one per replicate, and the run's one y test
+
+
 def test_studies_do_not_warn_about_the_normal_approximation():
     # the studies read only the permutation decision, so the n < 30 warning
     # of the normal approximation has nothing to warn about
