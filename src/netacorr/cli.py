@@ -159,7 +159,8 @@ def _add_stat_options(parser):
                         default="greater")
     parser.add_argument("--seed", type=_nonneg_int, default=0)
     parser.add_argument("--threads", type=_pos_int, default=None,
-                        help="accepted and ignored: the test runs serially")
+                        help="accepted and ignored: the permutation test spreads its "
+                             "chunks across the usable cores, with the same result")
 
 
 def _add_output_options(parser):

@@ -10,7 +10,10 @@ is converted once to CSR and stays sparse, so no n x n dense matrix is built.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -200,8 +203,12 @@ def permutation_test(y, w, cfg=None):
     UserWarning recommends the permutation p-value instead.
 
     Returns a :class:`MoranResult`. Reproducible for a fixed cfg.seed: the
-    relabellings come in fixed 512-row chunks, one child stream each, and
-    are scored 64 rows at a time.
+    relabellings come in fixed 512-row chunks, one child stream each. For a
+    sparse w the chunks are scored on up to four of the process's cores at
+    once, 64 rows in flight across them; a dense w, whose product already
+    runs on the BLAS threads, is scored one chunk after another, 64 rows at
+    a time. The counts are integer sums over chunks, so p_perm does not
+    depend on the number of cores.
     """
     if cfg is None:
         cfg = PermutationConfig()
@@ -254,46 +261,104 @@ def _exceedances(vectors, w, s0, m, seed, cap, lower=False):
     denominator; two equal I differ by at most about n (2n + 3) eps / ss.
     _check_w's scale, max w in [1/2, 1), keeps every sum finite and s0 >=
     1/2, so underflow adds at most about n^2 2^-1074 to q, far inside that.
+    The bound holds for any block width, so it also absorbs the summation
+    order of a narrower block.
 
     The vectors share the stream: each block is drawn once and scored for
     every vector whose hi is still at most cap, as alone, and the draws
-    stop when none is.
+    stop when none is. The chunks are scored in waves of one chunk per
+    worker (_workers). Within a chunk a vector closes once hi at the start
+    of its wave plus the chunk's own count passes cap; between waves the
+    counts are summed and the closed vectors drop out. Each worker scores
+    blocks of _BLOCK // workers rows, so _BLOCK rows are in flight at any
+    width, and the counts, sums of integers, do not depend on it.
     """
     n = len(vectors[0][0])
+    ties = [4.0 * n * n * np.finfo(float).eps / ss for _, ss, _ in vectors]
+    chunks = _chunks(m, seed)
+    workers = _workers(w, len(chunks))
+    rows = _BLOCK // workers
+    # One identity tile and one gather buffer per worker, kept for the whole
+    # test: fresh 4 MB blocks per step took 64k instead of 2k minor page
+    # faults per test at n=8000 (m=2000), and 20-30% longer, as the
+    # allocator gave them back and faulted them in again.
+    buffers = [(np.empty((rows, n), dtype=np.intp), np.empty(n * rows)) for _ in range(workers)]
     hi, lo = [0] * len(vectors), [0] * len(vectors)
     live = range(len(vectors))
-    for perms in _relabellings(n, m, seed):
-        for j in live:
-            d, ss, i_obs = vectors[j]
-            tie = 4.0 * n * n * np.finfo(float).eps / ss
-            vals = _moran_rows(d[perms], w, s0, ss)
-            hi[j] += int((vals >= i_obs - tie).sum())
-            if lower:
-                lo[j] += int((vals <= i_obs + tie).sum())
-        live = [j for j in live if hi[j] <= cap]
-        if not live:
-            break
+
+    def score(chunk, buffer):
+        tile, gathered = buffer
+        own_hi, own_lo = dict.fromkeys(live, 0), dict.fromkeys(live, 0)
+        open_ = list(live)
+        for perms in _relabellings(n, *chunk, tile):
+            # C-ordered (n, rows): _moran_rows scores its transpose uncopied
+            x = gathered[:perms.size].reshape(n, len(perms))
+            for j in open_:
+                d, ss, i_obs = vectors[j]
+                vals = _moran_rows(np.take(d, perms.T, out=x, mode="clip").T, w, s0, ss)
+                own_hi[j] += int((vals >= i_obs - ties[j]).sum())
+                if lower:
+                    own_lo[j] += int((vals <= i_obs + ties[j]).sum())
+            open_ = [j for j in open_ if hi[j] + own_hi[j] <= cap]
+            if not open_:
+                break
+        return own_hi, own_lo
+
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        for start in range(0, len(chunks), workers):
+            # list(): every chunk of a wave reads hi as it stood when the wave began
+            for own_hi, own_lo in list(run(score, chunks[start:start + workers], buffers)):
+                for j in own_hi:
+                    hi[j] += own_hi[j]
+                    lo[j] += own_lo[j]
+            live = [j for j in live if hi[j] <= cap]
+            if not live:
+                break
     return hi, lo
 
 
-def _relabellings(n, m, seed):
-    """The m seeded relabellings of range(n), as index arrays of _BLOCK rows.
+def _workers(w, chunks):
+    """Threads that score the chunks of a test: one for a dense w, whose
+    product already runs on the BLAS threads (on 2 cores two workers made a
+    dense test with m = 2000 slower: 17 -> 20-35 ms at n = 300, 98-109 ->
+    118-138 ms at n = 1000), else one per usable core, at most one per chunk
+    and at most four, so a worker's block keeps at least 16 rows. Both hot
+    calls, ``rng.permuted`` and the CSR product, release the GIL."""
+    if not sparse.issparse(w):
+        return 1
+    return min(_cores(), chunks, _BLOCK // 16)
 
-    The relabellings come in fixed 512-row chunks, one SeedSequence child
-    stream per chunk. ``rng.permuted`` shuffles one row after another, so a
-    chunk drawn in 64-row blocks holds the same rows as a chunk drawn at
-    once; the block size sets only the working set of a step, which stays
+
+def _cores():
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunks(m, seed):
+    """(size, stream) of each chunk of the m relabellings of seed: fixed
+    _CHUNK-row chunks, the last one shorter, one SeedSequence child each."""
+    sizes = [_CHUNK] * (m // _CHUNK) + [m % _CHUNK] * bool(m % _CHUNK)
+    return list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
+
+
+def _relabellings(n, size, stream, tile):
+    """The size relabellings of range(n) of one chunk, drawn from its
+    stream into tile, an (rows, n) index buffer, as blocks of up to rows
+    rows; each block is a view of tile, valid until the next one is drawn.
+
+    ``rng.permuted`` shuffles one row after another, so a chunk drawn in
+    blocks holds the same rows as a chunk drawn at once, for any block
+    size; the block size sets only the working set of a step, which stays
     in cache where a whole chunk at n=8000 (32 MB) does not.
     """
-    sizes = [_CHUNK] * (m // _CHUNK) + [m % _CHUNK] * bool(m % _CHUNK)
-    for size, stream in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        rng = np.random.default_rng(stream)
-        for start in range(0, size, _BLOCK):
-            # A fresh identity block each time: one tile kept for the whole
-            # stream took 63k instead of 2.7k minor page faults per sparse
-            # test at n=8000 (m=2000), and 30% longer, as the allocator
-            # gave the freed 4 MB blocks back and faulted them in again.
-            yield rng.permuted(np.tile(np.arange(n), (min(_BLOCK, size - start), 1)), axis=1)
+    rng, identity = np.random.default_rng(stream), np.arange(n)
+    for start in range(0, size, len(tile)):
+        block = tile[:size - start]
+        block[:] = identity
+        yield rng.permuted(block, axis=1, out=block)
 
 
 def normal_test(y, w, alternative="greater"):
@@ -350,7 +415,9 @@ def _moran_rows(dp, w, s0, ss):
     # Free the row-major block before the product: holding it measured 40%
     # slower per sparse permutation_test call at n=8000.
     del dp
-    return n * ((w @ x) * x).sum(axis=0) / (s0 * ss)
+    wx = w @ x
+    wx *= x
+    return n * wx.sum(axis=0) / (s0 * ss)
 
 
 def _validate(y, w):

@@ -10,9 +10,11 @@ every case with its stored file.
 
 Re-record only when a change moves numbers on purpose, and say why:
 
-    PYTHONPATH=src python tests/reference/record.py
+    PYTHONPATH=src python tests/reference/record.py [case ...]
 
-The command rewrites every ``<case>.json`` next to this script.
+The command rewrites ``<case>.json`` next to this script for each named
+case, or for every case when none is named. An unknown name is refused
+before anything is written.
 """
 
 from __future__ import annotations
@@ -177,10 +179,13 @@ def path_of(name):
     return os.path.join(HERE, f"{name}.json")
 
 
-def record():
+def record(names=()):
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        raise SystemExit(f"unknown case(s): {', '.join(unknown)}; known: {', '.join(CASES)}")
     with tempfile.TemporaryDirectory() as d:
         paths = make_inputs(d)
-        for name in CASES:
+        for name in names or CASES:
             with open(path_of(name), "w") as fh:
                 json.dump(payload(name, paths, d), fh, indent=1)
                 fh.write("\n")
@@ -188,4 +193,4 @@ def record():
 
 
 if __name__ == "__main__":
-    sys.exit(record())
+    sys.exit(record(sys.argv[1:]))

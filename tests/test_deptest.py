@@ -5,6 +5,8 @@ import inspect
 import itertools
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -202,10 +204,18 @@ def test_permutation_stream_is_replicable_across_chunks():
     assert res.p_perm == (1 + hi) / (1030 + 1)
 
 
+def _draws(n, m, seed):
+    """The relabelling blocks of a seeded test, as one worker draws them;
+    each block is valid until the next one is drawn."""
+    tile = np.empty((deptest._BLOCK, n), dtype=np.intp)
+    for chunk in deptest._chunks(m, seed):
+        yield from deptest._relabellings(n, *chunk, tile)
+
+
 def _null_stats(d, w, s0, ss, m, seed):
     """Moran's I of every relabelling of a seeded test, as the library draws them."""
     return np.concatenate([deptest._moran_rows(d[perms], w, s0, ss)
-                           for perms in deptest._relabellings(len(d), m, seed)])
+                           for perms in _draws(len(d), m, seed)])
 
 
 def _whole_chunks(d, m, seed):
@@ -317,7 +327,7 @@ def _exact_p(y, entries, m, seed, alternative):
         return sum(wij * e[i] * e[j] for i, j, wij in entries)
 
     obs = form(y)
-    forms = [form(y[p]) for perms in deptest._relabellings(n, m, seed) for p in perms]
+    forms = [form(y[p]) for perms in _draws(n, m, seed) for p in perms]
     p_up = (1.0 + sum(f >= obs for f in forms)) / (m + 1.0)
     if alternative == "greater":
         return p_up
@@ -438,7 +448,9 @@ def test_early_stop_reject_bit_equals_full_test(seed, n, m, level, kinds, is_spa
 
 def test_shared_stream_draws_once_and_scores_each_vector_as_alone(er_net, monkeypatch):
     # blocks drawn for k vectors = the largest single-vector count; rows
-    # scored = the sum of the single-vector counts
+    # scored = the sum of the single-vector counts. One worker, so the
+    # chunks run one after another in 64-row blocks.
+    monkeypatch.setattr(deptest, "_cores", lambda: 1)
     counts = {"blocks": 0, "rows": 0}
     relabellings, moran_rows = deptest._relabellings, deptest._moran_rows
 
@@ -478,6 +490,46 @@ def test_shared_stream_draws_once_and_scores_each_vector_as_alone(er_net, monkey
     bits, blocks, rows = run([ys[0], ys[4], ys[0]])
     assert bits == [alone[0][0][0], alone[4][0][0], alone[0][0][0]]
     assert rows == alone[0][2] + alone[4][2]
+
+
+def test_p_perm_and_reject_bits_do_not_depend_on_the_worker_count(er_net, monkeypatch):
+    # m = 1300 is three chunks, the last one 276 rows; on a sparse w they
+    # are scored by W = 1, 2 or 3 workers in blocks of 64 // W rows
+    drawn = []
+    relabellings = deptest._relabellings
+
+    def recorded(n, size, stream, tile):
+        drawn.append((len(tile), threading.current_thread() is threading.main_thread()))
+        yield from relabellings(n, size, stream, tile)
+
+    monkeypatch.setattr(deptest, "_relabellings", recorded)
+    w = er_net.adjacency
+    rng = np.random.default_rng(21)
+    ys = [rng.standard_normal(er_net.n) for _ in range(3)]
+    ys += [y + s * (w @ y) for y, s in zip(ys, (0.15, 2.0))]
+    wv, _, _, s0, _ = deptest._validate(ys[0], w)
+    m, seed = 1300, 9
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(deptest, "_cores", lambda: workers)
+            drawn.clear()
+            p_perm = [permutation_test(y, w, PermutationConfig(m=m, seed=seed, alternative=alt)
+                                       ).p_perm for y in ys for alt in ("greater", "two-sided")]
+            bits = [deptest._rejects(ys, wv, s0, m, seed, alpha) for alpha in (0.01, 0.05, 0.3)]
+            assert set(drawn) == {(64 // workers, workers == 1)}
+            runs[workers] = p_perm, bits
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[1] == runs[2] == runs[3]
+    assert {b for bits in runs[1][1] for b in bits} == {0.0, 1.0}
+    # a dense w is scored by one worker in 64-row blocks, with three cores
+    # still on offer
+    drawn.clear()
+    permutation_test(ys[0], adjacency_weights(er_net), PermutationConfig(m=m, seed=seed))
+    assert set(drawn) == {(64, True)} and len(drawn) == 3
 
 
 def test_early_stop_cap_is_the_float_boundary(monkeypatch):
