@@ -265,57 +265,49 @@ def _exceedances(vectors, w, s0, m, seed, cap, lower=False):
     order of a narrower block.
 
     The vectors share the stream: each block is drawn once and scored for
-    every vector whose hi is still at most cap, as alone, and the draws
-    stop when none is. The chunks are scored in waves of one chunk per
-    worker (_workers). Within a chunk a vector closes once hi at the start
-    of its wave plus the chunk's own count passes cap; between waves the
-    counts are summed and the closed vectors drop out. Each worker scores
-    blocks of _BLOCK // workers rows, so _BLOCK rows are in flight at any
-    width, and the counts, sums of integers, do not depend on it.
+    every vector whose hi is still at most cap, as alone. Worker k of the
+    W = _workers scores chunks k, k + W, k + 2W, ... in blocks of
+    _BLOCK // W rows, so _BLOCK rows are in flight at any width, and keeps
+    its own counts; it stops scoring a vector once its own hi passes cap,
+    and stops drawing when none is left. The counts are summed when every
+    worker is done. A worker's hi is a lower bound of the total, so a
+    vector that a worker closes has a total above cap, and one that no
+    worker closes is counted in full. So whether hi <= cap, and with
+    cap = m, which closes nothing, every count, does not depend on W: the
+    stop rule of Besag and Clifford (1991) needs no other worker's count.
     """
     n = len(vectors[0][0])
     ties = [4.0 * n * n * np.finfo(float).eps / ss for _, ss, _ in vectors]
     chunks = _chunks(m, seed)
     workers = _workers(w, len(chunks))
     rows = _BLOCK // workers
-    # One identity tile and one gather buffer per worker, kept for the whole
-    # test: fresh 4 MB blocks per step took 64k instead of 2k minor page
-    # faults per test at n=8000 (m=2000), and 20-30% longer, as the
-    # allocator gave them back and faulted them in again.
-    buffers = [(np.empty((rows, n), dtype=np.intp), np.empty(n * rows)) for _ in range(workers)]
-    hi, lo = [0] * len(vectors), [0] * len(vectors)
-    live = range(len(vectors))
 
-    def score(chunk, buffer):
-        tile, gathered = buffer
-        own_hi, own_lo = dict.fromkeys(live, 0), dict.fromkeys(live, 0)
-        open_ = list(live)
-        for perms in _relabellings(n, *chunk, tile):
-            # C-ordered (n, rows): _moran_rows scores its transpose uncopied
-            x = gathered[:perms.size].reshape(n, len(perms))
-            for j in open_:
-                d, ss, i_obs = vectors[j]
-                vals = _moran_rows(np.take(d, perms.T, out=x, mode="clip").T, w, s0, ss)
-                own_hi[j] += int((vals >= i_obs - ties[j]).sum())
-                if lower:
-                    own_lo[j] += int((vals <= i_obs + ties[j]).sum())
-            open_ = [j for j in open_ if hi[j] + own_hi[j] <= cap]
-            if not open_:
-                break
-        return own_hi, own_lo
+    def score(k):
+        # One identity tile and one gather buffer per worker, kept for the
+        # whole test: fresh 4 MB blocks per step took 64k instead of 2k minor
+        # page faults per test at n=8000 (m=2000), and 20-30% longer, as the
+        # allocator gave them back and faulted them in again.
+        tile, gathered = np.empty((rows, n), dtype=np.intp), np.empty(n * rows)
+        hi, lo = [0] * len(vectors), [0] * len(vectors)
+        open_ = list(range(len(vectors)))
+        for chunk in chunks[k::workers]:
+            for perms in _relabellings(n, *chunk, tile):
+                # C-ordered (n, rows): _moran_rows scores its transpose uncopied
+                x = gathered[:perms.size].reshape(n, len(perms))
+                for j in open_:
+                    d, ss, i_obs = vectors[j]
+                    vals = _moran_rows(np.take(d, perms.T, out=x, mode="clip").T, w, s0, ss)
+                    hi[j] += int((vals >= i_obs - ties[j]).sum())
+                    if lower:
+                        lo[j] += int((vals <= i_obs + ties[j]).sum())
+                open_ = [j for j in open_ if hi[j] <= cap]
+                if not open_:
+                    return hi, lo
+        return hi, lo
 
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
-        for start in range(0, len(chunks), workers):
-            # list(): every chunk of a wave reads hi as it stood when the wave began
-            for own_hi, own_lo in list(run(score, chunks[start:start + workers], buffers)):
-                for j in own_hi:
-                    hi[j] += own_hi[j]
-                    lo[j] += own_lo[j]
-            live = [j for j in live if hi[j] <= cap]
-            if not live:
-                break
-    return hi, lo
+        hi, lo = zip(*(pool.map if pool else map)(score, range(workers)))
+    return [sum(c) for c in zip(*hi)], [sum(c) for c in zip(*lo)]
 
 
 def _workers(w, chunks):
@@ -474,7 +466,9 @@ def _centre(y):
     """
     y, _ = _scaled(y)
     d, _ = _scaled(y - y.mean())
-    ss = float(d @ d)
+    # numpy's sum, not the BLAS dot d @ d, whose order of summation and so
+    # last bit depend on the BLAS thread count
+    ss = float(np.sum(d * d))
     if ss == 0.0:
         raise DegenerateStatisticError("zero-variance values: statistic undefined")
     return d, ss

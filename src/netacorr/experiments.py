@@ -503,9 +503,10 @@ def _corr_settings(settings):
 
 def _pearson(x, y):
     """The correlation of x and y, from their centred values scaled by powers
-    of two (deptest._centre), so that no sum of squares overflows."""
+    of two (deptest._centre), so that no sum of squares overflows; the sums
+    are numpy's, which do not depend on the BLAS thread count."""
     (dx, sx), (dy, sy) = _centre(x), _centre(y)
-    return float((dx @ dy) / np.sqrt(sx * sy))
+    return float(np.sum(dx * dy) / np.sqrt(sx * sy))
 
 
 def _rng(exp, seed, rep, tag):

@@ -4,7 +4,9 @@ import dataclasses
 import inspect
 import itertools
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -532,6 +534,43 @@ def test_p_perm_and_reject_bits_do_not_depend_on_the_worker_count(er_net, monkey
     assert set(drawn) == {(64, True)} and len(drawn) == 3
 
 
+def test_each_worker_stops_on_its_own_count_and_the_counts_are_summed(er_net, monkeypatch):
+    # m = 1300 on two workers: worker 0 scores chunks 0 and 2 (512 + 276
+    # rows), worker 1 chunk 1 (512 rows)
+    m, seed, shares = 1300, 9, {0: 788, 1: 512}
+    w = er_net.adjacency
+    y = np.random.default_rng(30).standard_normal(er_net.n)
+    wv, d, ss, s0, _ = deptest._validate(y, w)
+    i_obs = deptest._moran_rows(d[None], wv, s0, ss)[0]
+    tie = 4.0 * er_net.n ** 2 * np.finfo(float).eps / ss
+    exceeds = _null_stats(d, wv, s0, ss, m, seed) >= i_obs - tie
+    own = [int(exceeds[:512].sum() + exceeds[1024:].sum()), int(exceeds[512:1024].sum())]
+    assert min(own) > 0  # so max(own) < sum(own)
+    monkeypatch.setattr(deptest, "_cores", lambda: 2)
+    drawn = dict.fromkeys(shares, 0)
+    relabellings = deptest._relabellings
+
+    def recorded(n, size, stream, tile):
+        for perms in relabellings(n, size, stream, tile):
+            drawn[stream.spawn_key[-1] % 2] += len(perms)
+            yield perms
+
+    monkeypatch.setattr(deptest, "_relabellings", recorded)
+
+    def rows_drawn(cap):
+        # the full test does not reject at this cap's alpha, nor may _rejects
+        alpha = (1.0 + cap) / (m + 1.0)
+        assert permutation_test(y, w, PermutationConfig(m=m, seed=seed)).p_perm > alpha
+        drawn.update(dict.fromkeys(shares, 0))
+        assert deptest._rejects([y], wv, s0, m, seed, alpha) == [0.0]
+        return dict(drawn)
+
+    # neither worker's count passes max(own), only their sum does
+    assert rows_drawn(max(own)) == shares
+    # each worker's count passes 64 early in its share
+    assert all(rows < shares[k] for k, rows in rows_drawn(64).items())
+
+
 def test_early_stop_cap_is_the_float_boundary(monkeypatch):
     # every exceedance count h for every m <= 120, with alpha at the add-one
     # p-value (1 + h) / (m + 1) and one ulp below it; a closed form for cap
@@ -806,6 +845,24 @@ def test_values_near_the_float_max_give_finite_statistics():
     res = permutation_test(y, w, PermutationConfig(m=99))
     assert all(math.isfinite(v) for v in (res.i_stat, res.moments.var_i, res.p_normal))
     assert res.i_stat == morans_i(y / 2.0**1000, w)
+
+
+def test_statistic_and_moments_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a long dot product across its threads, which moves the
+    # last bit of d @ d on 100000 values between one thread and two
+    code = ("import numpy as np; from scipy import sparse; from netacorr import deptest; "
+            "n = 100000; y = np.random.default_rng(1).standard_normal(n); "
+            "path = sparse.diags([np.ones(n - 1)] * 2, [-1, 1]); "
+            "print(repr(deptest._centre(y)[1]), deptest.morans_i(y, path), "
+            "deptest.null_moments(y, path))")
+    src = os.path.dirname(os.path.dirname(deptest.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": t})
+            for t in ("1", "2")]
+    out = [run.communicate()[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert out[0] == out[1]
 
 
 def test_weight_scale_invariance_sample():
