@@ -254,7 +254,7 @@ def cmd_generate_network(args):
         seed=args.seed, require_connected=args.require_connected,
     )
     write_text(args.out, csv_text(("src", "dst"), net.edges))
-    print(f"{args.model} network: n={net.n}, edges={len(net.edges)}", file=sys.stderr)
+    print(f"{args.model} network: n={net.n}, edges={net.adjacency.nnz // 2}", file=sys.stderr)
     return 0
 
 

@@ -7,7 +7,6 @@ caller, so round-trips preserve identity by label rather than by index.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -31,64 +30,101 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
-    """Simple undirected graph: node count plus a sorted tuple of (i, j) pairs, i < j."""
+    """Simple undirected graph on nodes 0..n-1, stored as its CSR adjacency.
+
+    ``edges`` is any iterable of integer pairs (i, j), i < j, in any order,
+    or an (m, 2) integer array. An item that is not a pair of integers that
+    fit an intp is refused as it is read; then the first self-loop, endpoint
+    outside 0..n-1, pair not in (min, max) order or repeat is named.
+    ``adjacency``, the symmetric 0/1 float CSR matrix, is what every function
+    reads; treat it as read-only. ``edges`` is read back from it, so it is
+    always sorted. Equality and hashing go by n and the edge set.
+    """
 
     n: int
-    edges: tuple
+    adjacency: sparse.csr_array
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _count("n", self.n, 1))
-        object.__setattr__(self, "edges", tuple(_iterable_edges(self.edges)))
-        seen = set()
-        for e in self.edges:
-            if not isinstance(e, tuple) or len(e) != 2:
-                raise InputError(f"edge {e!r} is not a pair")
-            i, j = e
-            if not (isinstance(i, int) and isinstance(j, int)):
-                raise InputError(f"edge {e!r} has non-integer endpoints")
-            if i == j:
-                raise InputError(f"self-loop at node {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise InputError(f"edge {e!r} out of range for n={self.n}")
-            if i > j:
-                raise InputError(f"edge {e!r} not in (min, max) order")
-            if e in seen:
-                raise InputError(f"duplicate edge {e!r}")
-            seen.add(e)
+    def __init__(self, n, edges):
+        n = _count("n", n, 1)
+        e = _edge_array(edges, n)
+        i, j = e.T
+        bad = (i >= j) | (i < 0) | (j >= n)
+        # i * n + j is one-to-one on edges. A flagged row is bad, or repeats an
+        # earlier row that is bad or equal to it, so the first flag is the first fault.
+        key = i * n + j
+        order = np.argsort(key, kind="stable")  # a repeat sorts after its first copy
+        bad[order[1:][np.diff(key[order]) == 0]] = True
+        if bad.any():
+            raise InputError(_fault(n, *map(int, e[bad.argmax()])))
+        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adjacency", sparse.csr_array(
+            (np.ones(rows.size), (rows, cols)), shape=(n, n)))
 
     @classmethod
     def from_edges(cls, n, edges):
-        """Build a Network from any iterable of unordered integer pairs, deduplicating."""
-        canon = set()
-        for e in _iterable_edges(edges):
-            try:
-                i, j = map(operator.index, e)
-            except (TypeError, ValueError):
-                raise InputError(f"edge {e!r} is not a pair or has non-integer endpoints") from None
-            canon.add((min(i, j), max(i, j)))
-        return cls(n=n, edges=tuple(sorted(canon)))
+        """Build a Network from unordered integer pairs or an (m, 2) array, dropping repeats."""
+        return cls(n, np.unique(np.sort(_edge_array(edges, n), axis=1), axis=0))
 
-    @functools.cached_property
-    def adjacency(self):
-        """Symmetric 0/1 float CSR adjacency matrix, built on first use and cached.
+    @property
+    def edges(self):
+        """The sorted tuple of (i, j) pairs, i < j, read from the upper triangle."""
+        upper = sparse.triu(self.adjacency, 1, format="coo")
+        return tuple(zip(upper.row.tolist(), upper.col.tolist()))
 
-        Every weight, distance and degree function reads the graph from here;
-        the matrix is shared by all callers, so treat it as read-only.
-        """
-        e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        return sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n))
+    def __eq__(self, other):
+        return isinstance(other, Network) and (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
 
 
-def _iterable_edges(edges):
-    """An iterator over edges, if it is an iterable (of edges, checked by the caller)."""
+def _edge_array(edges, n):
+    """``edges`` as an (m, 2) intp array, refusing the first item that is not a pair of intp.
+
+    An integer array, or a sequence numpy reads as one, is read in bulk;
+    anything else item by item. n is for the message.
+    """
+    if not isinstance(edges, np.ndarray):
+        try:
+            edges = list(edges)
+        except TypeError:
+            raise InputError(f"edges must be an iterable of (i, j) pairs, got {edges!r}") from None
     try:
-        return iter(edges)
+        a = np.asarray(edges)
+    except ValueError:  # items of different lengths
+        a = np.empty(0)
+    if a.ndim == 2 and a.shape[1] == 2 and a.dtype.kind in "biu" and np.can_cast(a.dtype, np.intp):
+        return a.astype(np.intp, copy=False)
+    return np.array([_pair(e, n) for e in edges], dtype=np.intp).reshape(-1, 2)
+
+
+def _pair(e, n):
+    """The item ``e`` of an edge list on n nodes as two ints that fit an intp."""
+    try:
+        i, j = e
+    except (TypeError, ValueError):
+        raise InputError(f"edge {e!r} is not a pair") from None
+    try:
+        i, j = operator.index(i), operator.index(j)
     except TypeError:
-        raise InputError(f"edges must be an iterable of (i, j) pairs, got {edges!r}") from None
+        raise InputError(f"edge {e!r} has non-integer endpoints") from None
+    if max(abs(i), abs(j)) > np.iinfo(np.intp).max:
+        raise InputError(_fault(n, i, j))
+    return i, j
+
+
+def _fault(n, i, j):
+    """Why (i, j), which is known to be bad, is not a new edge of a graph on n nodes."""
+    if i == j:
+        return f"self-loop at node {i}"
+    if not (0 <= i < n and 0 <= j < n):
+        return f"edge {(i, j)!r} out of range for n={n}"
+    if i > j:
+        return f"edge {(i, j)!r} not in (min, max) order"
+    return f"duplicate edge {(i, j)!r}"
 
 
 def load_edge_list(source):
@@ -118,15 +154,15 @@ def load_edge_list(source):
     rows = read_csv(source, expect_header("src", "dst"))
     name, _header = next(rows)
     index = {}  # label -> node, in first-appearance order
-    edges = set()
+    ends = []  # the two nodes of every row, in row order
     for rownum, row in rows:
         if len(row) != 2 or not row[0].strip() or not row[1].strip():
             raise InputError(f"{name}: malformed edge row {rownum}: {row!r}")
         a, b = (index.setdefault(lab.strip(), len(index)) for lab in row)
         if a == b:
             raise InputError(f"{name}: self-loop at row {rownum}: node {row[0].strip()!r}")
-        edges.add((min(a, b), max(a, b)))
-    return Network(n=len(index), edges=tuple(sorted(edges))), list(index)
+        ends += (a, b)
+    return Network.from_edges(len(index), np.array(ends, dtype=np.intp).reshape(-1, 2)), list(index)
 
 
 def adjacency_weights(net):
@@ -139,8 +175,8 @@ def adjacency_weights(net):
 
 
 def _edge_weights(net):
-    """The cached sparse adjacency of ``net``, refusing a graph with no edges."""
-    if len(net.edges) == 0:
+    """The sparse adjacency of ``net``, refusing a graph with no edges."""
+    if net.adjacency.nnz == 0:
         raise DegenerateStatisticError("graph has no edges; all weights are zero")
     return net.adjacency
 
@@ -256,7 +292,7 @@ def generate_random_network(n, model="erdos-renyi", *, p=None, k=4,
 
     for attempt in range(_RETRY_CAP):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
-        net = Network(n=n, edges=tuple(sorted(make(rng))))
+        net = Network.from_edges(n, make(rng))
         if not require_connected or is_connected(net):
             return net
     raise InputError(
@@ -267,16 +303,13 @@ def generate_random_network(n, model="erdos-renyi", *, p=None, k=4,
 
 def _er_edges(iu, ju, p, rng):
     mask = rng.random(iu.size) < p
-    return zip(iu[mask].tolist(), ju[mask].tolist())
+    return np.column_stack([iu[mask], ju[mask]])
 
 
 def _smallworld_edges(n, k, beta, rng):
-    base = set()
-    half = k // 2
-    for i in range(n):
-        for j in range(1, half + 1):
-            base.add((min(i, (i + j) % n), max(i, (i + j) % n)))
-    base = sorted(base)
+    i = np.repeat(np.arange(n), k // 2)  # the ring lattice: i to i + 1, ..., i + k/2
+    j = (i + np.tile(np.arange(1, k // 2 + 1), n)) % n
+    base = sorted(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
     out = set(base)
     for (u, v) in base:
         if rng.random() < beta:

@@ -86,15 +86,15 @@ def ols(y, x, level=0.95):
     x is the full design matrix including any intercept column. Raises
     SingularDesignError when x is rank deficient, InputError when there are
     no residual degrees of freedom (n <= p), and NumericError when the
-    residual variance is beyond the float range. The residuals are scaled
-    by a power of two before they are squared, which is exact.
+    residual variance is beyond the float range. The residuals are scaled by
+    a power of two, which is exact, and their squares summed in numpy's order.
     """
     y, x, n, p = _check_design(y, x)
     _real("level", level, 0, 1, strict=True)
     beta, *_ = np.linalg.lstsq(x, y, rcond=None)
     resid = y - x @ beta
     r, e = _scaled(resid)
-    sigma2 = _unscaled(float(r @ r) / (n - p), 2 * e)
+    sigma2 = _unscaled(float(np.sum(r * r)) / (n - p), 2 * e)
     if sigma2 == math.inf:
         raise NumericError("OLS residual variance is beyond the float range; rescale y")
     xtx_inv = np.linalg.inv(x.T @ x)

@@ -1,7 +1,7 @@
 """Reference implementations the tests compare the package against.
 
-Each is written from its formula on dense arrays and shares no code with
-the package path it checks.
+Each is written from its definition, on dense arrays or plain Python
+loops, and shares no code with the package path it checks.
 """
 
 import itertools
@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 from scipy import sparse
 
-from netacorr import adjacency_weights
+from netacorr import InputError, adjacency_weights
 
 
 def transmission_matrix(net, a):
@@ -39,3 +39,51 @@ def enumerate_null(y, w):
     x = d[np.array(list(itertools.permutations(range(n))))]
     vals = n * ((x @ w) * x).sum(axis=1) / (w.sum() * (d @ d))
     return float(vals.mean()), float(vals.var()), vals
+
+
+def network_edges(n, edges):
+    """The sorted edges Network(n, edges) holds, or the InputError it raises.
+
+    This is the per-edge loop the constructor ran before it checked in bulk,
+    widened to the forms it now reads: an item must be a tuple, list or array
+    row of two integers (int or numpy integer) within the intp range, and an
+    item that is not is refused as it is read. Then the first self-loop,
+    endpoint out of range, pair not in (min, max) order or repeat is named.
+    """
+    seen = set()
+    for i, j in _read(n, edges):
+        _check(n, i, j, seen)
+    return tuple(sorted(seen))
+
+
+def from_edges_edges(n, edges):
+    """The sorted edges Network.from_edges(n, edges) holds, or the InputError
+    it raises: each item read as for Network, canonicalised into a set, and
+    the sorted set checked as a Network's edges."""
+    return network_edges(n, sorted({(min(p), max(p)) for p in _read(n, edges)}))
+
+
+def _read(n, edges):
+    pairs = []
+    for e in edges:
+        if not (isinstance(e, (tuple, list, np.ndarray)) and len(e) == 2):
+            raise InputError(f"edge {e!r} is not a pair")
+        if not all(isinstance(v, (int, np.integer)) for v in e):
+            raise InputError(f"edge {e!r} has non-integer endpoints")
+        i, j = (int(v) for v in e)
+        if max(abs(i), abs(j)) > np.iinfo(np.intp).max:
+            _check(n, i, j, set())
+        pairs.append((i, j))
+    return pairs
+
+
+def _check(n, i, j, seen):
+    if i == j:
+        raise InputError(f"self-loop at node {i}")
+    if not (0 <= i < n and 0 <= j < n):
+        raise InputError(f"edge {(i, j)!r} out of range for n={n}")
+    if i > j:
+        raise InputError(f"edge {(i, j)!r} not in (min, max) order")
+    if (i, j) in seen:
+        raise InputError(f"duplicate edge {(i, j)!r}")
+    seen.add((i, j))

@@ -1,6 +1,9 @@
 """Estimators: naive mean CI, OLS, known-covariance GLS, and the mixed model."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -142,6 +145,25 @@ def test_ols_residual_variance_beyond_the_float_range_raises_numeric_error():
     with pytest.raises(NumericError, match="residual variance is beyond the float range"):
         ols(y, x)
     assert math.isfinite(mean_ci_naive(y * 1e140).se)
+
+
+def test_ols_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a long dot product across its threads, which moved the
+    # last bit of the residual sum of squares between one thread and two
+    code = ("import numpy as np; from netacorr import ols\n"
+            "for seed in range(6):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    x = np.column_stack([np.ones(100000), rng.standard_normal((100000, 2))])\n"
+            "    fit = ols(rng.standard_normal(100000), x)\n"
+            "    print(repr(fit.sigma2), repr(fit.se.tolist()))")
+    src = os.path.dirname(os.path.dirname(inference.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": t})
+            for t in ("1", "2")]
+    out = [run.communicate()[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert out[0].count("\n") == 6 and out[0] == out[1]
 
 
 # ---------------------------------------------------------------------------
