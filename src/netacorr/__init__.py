@@ -8,86 +8,21 @@ What lives where:
 - inference: naive mean CI, OLS, known-covariance GLS, one-component LMM
 - experiments: the Monte Carlo studies (coverage, spurious regression,
   degree confounding, GLS correction, correlation distributions)
+- errors: the exception hierarchy
 - cli: the ``netacorr`` command-line entry point
+
+Each module's ``__all__`` is the one list of its public names; the package
+exports exactly those, plus ``__version__``.
 """
 
+from . import deptest, errors, experiments, graph, inference, simulate
 from ._version import __version__
-from .deptest import (
-    MoranResult,
-    NullMoments,
-    PermutationConfig,
-    gearys_c,
-    morans_i,
-    normal_test,
-    null_moments,
-    permutation_test,
-)
-from .errors import (
-    BadCovarianceError,
-    DegenerateStatisticError,
-    InputError,
-    NetacorrError,
-    NumericError,
-    SingularDesignError,
-)
-from .experiments import (
-    EXPERIMENT_NAMES,
-    ExperimentReport,
-    run_correlation_distribution,
-    run_coverage_experiment,
-    run_degree_confounding_experiment,
-    run_gls_correction_experiment,
-    run_spurious_regression_experiment,
-    write_report,
-)
-from .graph import (
-    Network,
-    adjacency_weights,
-    degrees,
-    generate_random_network,
-    geodesic_distances,
-    inverse_geodesic_weights,
-    is_connected,
-    load_edge_list,
-)
-from .inference import (
-    LmmFit,
-    MeanEstimate,
-    RegressionFit,
-    gls,
-    lmm_fit,
-    mean_ci_naive,
-    ols,
-)
-from .simulate import (
-    ConfoundConfig,
-    LatentConfig,
-    TransmissionConfig,
-    degree_confounded_covariate,
-    direct_transmission,
-    latent_field,
-    latent_variable_outcome,
-    monotone_pair,
-    standardized_degrees,
-    transmission_covariance,
-)
+from .deptest import *
+from .errors import *
+from .experiments import *
+from .graph import *
+from .inference import *
+from .simulate import *
 
-__all__ = [
-    "__version__",
-    "Network", "load_edge_list", "adjacency_weights", "inverse_geodesic_weights",
-    "geodesic_distances", "degrees", "is_connected", "generate_random_network",
-    "NullMoments", "MoranResult", "PermutationConfig", "morans_i", "gearys_c",
-    "null_moments", "permutation_test", "normal_test",
-    "TransmissionConfig", "LatentConfig", "ConfoundConfig",
-    "transmission_covariance", "direct_transmission", "latent_field",
-    "latent_variable_outcome", "degree_confounded_covariate",
-    "standardized_degrees", "monotone_pair",
-    "MeanEstimate", "RegressionFit", "LmmFit", "mean_ci_naive", "ols", "gls",
-    "lmm_fit",
-    "ExperimentReport", "EXPERIMENT_NAMES", "run_correlation_distribution",
-    "run_coverage_experiment", "run_spurious_regression_experiment",
-    "run_degree_confounding_experiment", "run_gls_correction_experiment",
-    "write_report",
-    "NetacorrError", "InputError", "SingularDesignError", "BadCovarianceError",
-    "DegenerateStatisticError", "NumericError",
-]
+__all__ = ["__version__", *graph.__all__, *deptest.__all__, *simulate.__all__,
+           *inference.__all__, *experiments.__all__, *errors.__all__]

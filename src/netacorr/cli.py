@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from . import simulate
 from ._io import (csv_text, document, expect_header, flat_csv_text, json_text, read_csv,
                   write_text)
 from ._version import __version__
@@ -27,15 +28,7 @@ from .graph import (
     load_edge_list,
 )
 from .inference import ols
-from .simulate import (
-    ConfoundConfig,
-    LatentConfig,
-    TransmissionConfig,
-    degree_confounded_covariate,
-    direct_transmission,
-    latent_variable_outcome,
-    monotone_pair,
-)
+from .simulate import ConfoundConfig, LatentConfig, TransmissionConfig
 
 # Significance thresholds are a reporting convention, not part of the test.
 _ALPHA_NOTE = ("note: a fixed significance threshold may not be appropriate "
@@ -78,34 +71,34 @@ def build_parser():
     _add_output_options(p_res)
     p_res.set_defaults(func=cmd_residual_test)
 
+    # The model options of simulate and generate-network, the study options
+    # of experiment, and their --seed, --reps, --n and --net-seed default to
+    # None: _given_options refuses a given option that the chosen model or
+    # study does not read, and passes on only the given ones, so the
+    # library's defaults apply.
     p_sim = sub.add_parser("simulate", help="draw synthetic node values")
-    p_sim.add_argument("--model", required=True,
-                       choices=["transmission", "latent", "degree-confound", "monotone-pair"])
+    p_sim.add_argument("--model", required=True, choices=list(_MODELS))
     _add_edges(p_sim, required=False)
-    p_sim.add_argument("--a", type=float, default=0.5, help="transmission strength")
-    p_sim.add_argument("--sigma", type=float, default=0.5, help="innovation scale")
-    p_sim.add_argument("--kappa", type=_nonneg_int, default=3, help="transmission steps")
-    p_sim.add_argument("--length-scale", type=float, default=2.0, help="latent kernel scale")
-    p_sim.add_argument("--noise", type=float, default=None,
-                       help="noise scale (default 0.5 latent, 1.0 degree-confound)")
-    p_sim.add_argument("--b", type=float, default=1.0, help="degree loading")
-    p_sim.add_argument("--n", type=_nonneg_int, default=None,
-                       help="length for monotone-pair (no network needed)")
-    p_sim.add_argument("--seed", type=_nonneg_int, default=0)
+    p_sim.add_argument("--a", type=float, help="transmission strength")
+    p_sim.add_argument("--sigma", type=float, help="innovation scale")
+    p_sim.add_argument("--kappa", type=_nonneg_int, help="transmission steps")
+    p_sim.add_argument("--length-scale", type=float, help="latent kernel scale")
+    p_sim.add_argument("--noise", type=float, help="noise scale")
+    p_sim.add_argument("--b", type=float, help="degree loading")
+    p_sim.add_argument("--n", type=_nonneg_int, help="length for monotone-pair")
+    p_sim.add_argument("--seed", type=_nonneg_int)
     p_sim.add_argument("--out", default=None, help="values CSV path (default stdout)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_exp = sub.add_parser("experiment", help="run a named Monte Carlo experiment")
     p_exp.add_argument("name", choices=list(EXPERIMENT_NAMES))
     _add_edges(p_exp, required=False)
-    # Study options, --n and --net-seed default to None: a study refuses one
-    # it does not take, and otherwise the runner's default applies.
     p_exp.add_argument("--n", type=_nonneg_int, default=None,
                        help="nodes for the default generated network (default 200)")
     p_exp.add_argument("--net-seed", type=_nonneg_int, default=None,
                        help="seed for the default generated network (default 0)")
-    p_exp.add_argument("--reps", type=_nonneg_int, default=500)
-    p_exp.add_argument("--seed", type=_nonneg_int, default=0)
+    p_exp.add_argument("--reps", type=_nonneg_int)
+    p_exp.add_argument("--seed", type=_nonneg_int)
     p_exp.add_argument("--permutations", type=_pos_int, default=None,
                        help="permutations per dependence test (default 500)")
     p_exp.add_argument("--kappas", type=_int_list, default=None,
@@ -129,14 +122,12 @@ def build_parser():
     p_exp.set_defaults(func=cmd_experiment)
 
     p_gen = sub.add_parser("generate-network", help="write a random network edge list")
-    p_gen.add_argument("--model", choices=["erdos-renyi", "small-world"],
-                       default="erdos-renyi")
+    p_gen.add_argument("--model", choices=list(_NETWORK_MODELS), default="erdos-renyi")
     p_gen.add_argument("--n", type=_nonneg_int, required=True)
-    p_gen.add_argument("--p", type=float, default=None,
-                       help="edge probability (default mean degree 5)")
-    p_gen.add_argument("--k", type=_nonneg_int, default=4, help="small-world ring degree")
-    p_gen.add_argument("--rewire-prob", type=float, default=0.05)
-    p_gen.add_argument("--seed", type=_nonneg_int, default=0)
+    p_gen.add_argument("--p", type=float, help="edge probability")
+    p_gen.add_argument("--k", type=_nonneg_int, help="small-world ring degree")
+    p_gen.add_argument("--rewire-prob", type=float)
+    p_gen.add_argument("--seed", type=_nonneg_int)
     p_gen.add_argument("--no-require-connected", dest="require_connected",
                        action="store_false", default=True)
     p_gen.add_argument("--out", default=None, help="edge CSV path (default stdout)")
@@ -202,6 +193,21 @@ def cmd_residual_test(args):
     return 0
 
 
+# Model -> (generator of netacorr.simulate, config class, the options it
+# reads, the first one required). Every model also reads --seed. The
+# generator is looked up by name at each run, so a wrapper put on the
+# simulate module, such as a profiler's, sees the call.
+_MODELS = {
+    "transmission": ("direct_transmission", TransmissionConfig, ("edges", "a", "sigma", "kappa")),
+    "latent": ("latent_variable_outcome", LatentConfig, ("edges", "length_scale", "noise")),
+    "degree-confound": ("degree_confounded_covariate", ConfoundConfig, ("edges", "b", "noise")),
+    "monotone-pair": ("monotone_pair", None, ("n",)),
+}
+
+# generate_random_network model -> the options it reads, besides --seed.
+_NETWORK_MODELS = {"erdos-renyi": ("p",), "small-world": ("k", "rewire_prob")}
+
+
 def cmd_simulate(args):
     write_text(args.out, csv_text(*_simulated_table(args)))
     return 0
@@ -209,36 +215,26 @@ def cmd_simulate(args):
 
 def _simulated_table(args):
     """The header and rows of the simulate CSV; floats go out as their repr."""
-    if args.model == "monotone-pair":
-        if args.n is None:
-            raise InputError("monotone-pair needs --n (it draws no network)")
-        x, y = monotone_pair(args.n, seed=args.seed)
+    name, config, options = _MODELS[args.model]
+    draw = getattr(simulate, name)
+    given = _given_options(args, "model", args.model,
+                           (opts for *_, opts in _MODELS.values()), options)
+    if options[0] not in given:
+        raise InputError(f"model {args.model!r} needs --{options[0]}")
+    if config is None:  # monotone-pair draws no network
+        x, y = draw(**given)
         return ("node", "x", "y"), zip(range(args.n), x.tolist(), y.tolist())
-    if args.edges is None:
-        raise InputError(f"model {args.model!r} needs --edges")
-    net, labels = load_edge_list(args.edges)
-    if args.model == "transmission":
-        cfg = TransmissionConfig(a=args.a, sigma=args.sigma, kappa=args.kappa,
-                                 seed=args.seed)
-        y = direct_transmission(net, cfg)
-    elif args.model == "latent":
-        noise = 0.5 if args.noise is None else args.noise
-        cfg = LatentConfig(length_scale=args.length_scale, noise=noise, seed=args.seed)
-        y = latent_variable_outcome(net, cfg)
-    else:  # degree-confound
-        noise = 1.0 if args.noise is None else args.noise
-        cfg = ConfoundConfig(b=args.b, noise=noise, seed=args.seed)
-        y = degree_confounded_covariate(net, cfg)
-    return ("node", "value"), zip(labels, y.tolist())
+    net, labels = load_edge_list(given.pop("edges"))
+    return ("node", "value"), zip(labels, draw(net, config(**given)).tolist())
 
 
 def cmd_experiment(args):
     runner, options = _STUDIES[args.name]
-    _check_study_options(args, options)
+    given = _given_options(args, "study", args.name,
+                           (opts for _, opts in _STUDIES.values()), [*options, "reps"],
+                           with_edges=("n", "net_seed"))
     net = _experiment_network(args)
-    kwargs = {kw: getattr(args, opt) for opt, kw in options.items()
-              if getattr(args, opt) is not None}
-    run = runner(net, reps=args.reps, seed=args.seed, **kwargs)
+    run = runner(net, **{options.get(opt, opt): value for opt, value in given.items()})
     for path in write_report(run, args.out, fmt=args.format):
         print(path)
     for row in run.rows:
@@ -249,10 +245,10 @@ def cmd_experiment(args):
 
 
 def cmd_generate_network(args):
-    net = generate_random_network(
-        args.n, args.model, p=args.p, k=args.k, rewire_prob=args.rewire_prob,
-        seed=args.seed, require_connected=args.require_connected,
-    )
+    given = _given_options(args, "model", args.model, _NETWORK_MODELS.values(),
+                           _NETWORK_MODELS[args.model])
+    net = generate_random_network(args.n, args.model, require_connected=args.require_connected,
+                                  **given)
     write_text(args.out, csv_text(("src", "dst"), net.edges))
     print(f"{args.model} network: n={net.n}, edges={net.adjacency.nnz // 2}", file=sys.stderr)
     return 0
@@ -318,26 +314,28 @@ def _fmt_cell(v):
     return str(v)
 
 
-def _check_study_options(args, options):
-    """Refuse a given option that the study does not take: another study's
-    option, or --n or --net-seed next to --edges."""
-    foreign = [opt for _, opts in _STUDIES.values() for opt in opts if opt not in options]
-    if args.edges is not None:
-        foreign += ["n", "net_seed"]
-    for opt in foreign:
+def _given_options(args, kind, name, table, reads, with_edges=()):
+    """{option: value} of the options in reads, and --seed, that were given.
+
+    Refuses a given option that the model or study name (of this kind) does
+    not read: one that another entry of table reads, or one of with_edges
+    next to --edges. Options left out keep the library's defaults.
+    """
+    refused = [(opt, "") for opts in table for opt in opts if opt not in reads]
+    refused += [(opt, " with --edges") for opt in with_edges if args.edges is not None]
+    for opt, where in refused:
         if getattr(args, opt) is not None:
-            where = " with --edges" if opt in ("n", "net_seed") else ""
-            raise InputError(f"--{opt.replace('_', '-')} does not apply to study "
-                             f"{args.name!r}{where}")
+            raise InputError(f"--{opt.replace('_', '-')} does not apply to {kind} "
+                             f"{name!r}{where}")
+    return {opt: getattr(args, opt) for opt in (*reads, "seed")
+            if getattr(args, opt) is not None}
 
 
 def _experiment_network(args):
     if args.edges is not None:
-        net, _labels = load_edge_list(args.edges)
-        return net
-    return generate_random_network(200 if args.n is None else args.n, "erdos-renyi",
-                                   seed=0 if args.net_seed is None else args.net_seed,
-                                   require_connected=True)
+        return load_edge_list(args.edges)[0]
+    seed = {} if args.net_seed is None else {"seed": args.net_seed}
+    return generate_random_network(200 if args.n is None else args.n, **seed)
 
 
 def _weights_for(net, spec):

@@ -14,6 +14,15 @@ import numbers
 
 import numpy as np
 
+__all__ = [
+    "NetacorrError",
+    "InputError",
+    "SingularDesignError",
+    "BadCovarianceError",
+    "DegenerateStatisticError",
+    "NumericError",
+]
+
 
 class NetacorrError(Exception):
     """Base class for all errors raised by this package."""

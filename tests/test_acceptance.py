@@ -20,6 +20,7 @@ from netacorr import (
     normal_test,
     null_moments,
 )
+from netacorr import deptest
 from netacorr.experiments import (
     run_correlation_distribution,
     run_coverage_experiment,
@@ -221,7 +222,7 @@ def test_criterion_09_toy_and_correlation_distribution(capsys, er_net):
              f"small-error frac {small:.3f} >= 0.60 vs iid {iid:.3f} < 0.05")
 
 
-def test_criterion_10_invariance_suites(capsys, er_net):
+def test_criterion_10_invariance_suites(capsys, er_net, monkeypatch):
     rng = np.random.default_rng(10)
     cases = 120
     ok_affine = ok_scale = ok_sym = True
@@ -260,10 +261,13 @@ def test_criterion_10_invariance_suites(capsys, er_net):
             if abs(null_moments(y, wa).var_i - null_moments(y, ws).var_i) >= 1e-10:
                 ok_sym = False
 
-    # determinism under parallelism: the replicate thread count never moves a result
-    r1, r4 = (run_spurious_regression_experiment(er_net, reps=8, seed=0, m=520, threads=t)
-              for t in (1, THREADS))
-    ok_par = r1.rows == r4.rows and r1.replicates == r4.replicates
+    # determinism under parallelism: at m = 520 each sparse test has two
+    # chunks, scored by one worker on one core or by two on two cores
+    runs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(deptest, "_cores", lambda: cores)
+        runs.append(run_spurious_regression_experiment(er_net, reps=8, seed=0, m=520))
+    ok_par = runs[0].rows == runs[1].rows and runs[0].replicates == runs[1].replicates
 
     ok = ok_affine and ok_scale and ok_sym and ok_par
     _verdict(capsys, 10, ok,

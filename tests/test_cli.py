@@ -925,6 +925,36 @@ def test_cli_experiment_refuses_options_its_study_does_not_take(run_cli, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--model", "latent", "--edges", "EDGES", "--kappa", "2"),
+     "--kappa does not apply to model 'latent'"),
+    (("simulate", "--model", "transmission", "--edges", "EDGES", "--noise", "0.3"),
+     "--noise does not apply to model 'transmission'"),
+    (("simulate", "--model", "degree-confound", "--edges", "EDGES", "--length-scale", "1"),
+     "--length-scale does not apply to model 'degree-confound'"),
+    (("simulate", "--model", "transmission", "--edges", "EDGES", "--n", "5"),
+     "--n does not apply to model 'transmission'"),
+    (("simulate", "--model", "monotone-pair", "--n", "5", "--edges", "EDGES"),
+     "--edges does not apply to model 'monotone-pair'"),
+    (("generate-network", "--model", "small-world", "--n", "30", "--p", "0.2"),
+     "--p does not apply to model 'small-world'"),
+    (("generate-network", "--n", "30", "--p", "0.2", "--k", "4"),
+     "--k does not apply to model 'erdos-renyi'"),
+    (("generate-network", "--n", "30", "--p", "0.2", "--rewire-prob", "0.1"),
+     "--rewire-prob does not apply to model 'erdos-renyi'"),
+], ids=["latent-kappa", "transmission-noise", "degree-confound-length-scale",
+        "transmission-n", "monotone-pair-edges", "small-world-p", "erdos-renyi-k",
+        "erdos-renyi-rewire-prob"])
+def test_cli_refuses_options_the_model_does_not_read(run_cli, tmp_path, argv, message):
+    # these options used to be dropped without a word, and the command exited 0
+    edges = tmp_path / "edges.csv"
+    edges.write_text("src,dst\n0,1\n1,2\n2,3\n3,0\n0,2\n")
+    code, out, err = run_cli(*[str(edges) if a == "EDGES" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cli_experiment_empty_kappa_list_exits_2(run_cli, tmp_path):
     # "--kappas ," parses to no kappas: no cells, so no report is written
     code, out, err = run_cli("experiment", "coverage", "--n", "30", "--reps", "2",

@@ -387,12 +387,15 @@ def _full_rejects(ys, w, s0, m, seed, alpha):
             for y in ys]
 
 
-@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("name", TESTING_STUDIES)
-def test_early_stop_reports_equal_full_permutation_tests(name, threads, monkeypatch):
-    # m = 520 spans two 512-row chunks; alpha 0.2 makes both bits common
+def test_early_stop_reports_equal_full_permutation_tests(name, cores, monkeypatch):
+    # m = 520 spans two 512-row chunks, scored by one worker or, on two
+    # cores, by two that each stop on their own counts; alpha 0.2 makes both
+    # bits common
+    monkeypatch.setattr(deptest, "_cores", lambda: cores)
     runner, kwargs = TESTING_STUDIES[name]
-    args = {**kwargs, "reps": 12, "seed": 5, "m": 520, "alpha": 0.2, "threads": threads}
+    args = {**kwargs, "reps": 12, "seed": 5, "m": 520, "alpha": 0.2}
     fast = runner(NET, **args)
     monkeypatch.setattr(experiments, "_rejects", _full_rejects)
     full = runner(NET, **args)
