@@ -66,7 +66,11 @@ class Network:
     @classmethod
     def from_edges(cls, n, edges):
         """Build a Network from unordered integer pairs or an (m, 2) array, dropping repeats."""
-        return cls(n, np.unique(np.sort(_edge_array(edges, n), axis=1), axis=0))
+        e = np.sort(_edge_array(edges, n), axis=1)
+        e = e[np.lexsort(e.T[::-1])]  # rows in (i, j) order, so repeats are adjacent
+        keep = np.ones(len(e), dtype=bool)
+        keep[1:] = np.any(e[1:] != e[:-1], axis=1)
+        return cls(n, e[keep])
 
     @property
     def edges(self):

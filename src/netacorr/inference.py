@@ -143,7 +143,6 @@ def _gls_core(y, x, cf):
 
 
 _LOGD_LO, _LOGD_HI = -10.0, 10.0
-_GOLDEN_TOL = 1e-6
 
 
 def lmm_fit(y, x, k):
@@ -152,12 +151,14 @@ def lmm_fit(y, x, k):
     K is a symmetric PSD similarity matrix (n x n); e is iid noise. The fit
     eigendecomposes K once, rotates y and X into the eigenbasis, and
     profiles beta and sigma_e2 out of the Gaussian likelihood, leaving a
-    1-D problem in the variance ratio delta = sigma_g2 / sigma_e2. That
-    profile is minimized by a coarse grid plus golden-section refinement on
-    log(delta) in [-10, 10] to a bracket 1e-6 wide, with the boundary fit
-    delta = 0 (plain ML regression) kept as a candidate; whichever candidate
-    has the higher likelihood wins, and an exact tie goes to delta = 0, so
-    the reported loglik never falls below the no-random-effect fit.
+    1-D problem in the variance ratio delta = sigma_g2 / sigma_e2. A 9-point
+    grid on log(delta) in [-10, 10] brackets the profile's minimum, and a
+    bisection on the sign of the profile's slope narrows the bracket to 1e-6;
+    where the slope points out of the range at its end, the fit ends there.
+    The boundary fit delta = 0 (plain ML regression) is kept as a candidate;
+    whichever candidate has the higher likelihood wins, and an exact tie goes
+    to delta = 0, so the reported loglik never falls below the no-random-effect
+    fit.
 
     Scaling K by c rescales sigma_g2 by 1/c and leaves beta, se and loglik
     unchanged up to optimizer tolerance, the 1e-6 bracket on log(delta):
@@ -184,10 +185,14 @@ def _lmm_cores(problems):
     y and x are checked, with one n and one p across the problems, and
     factor is an _lmm_factor of k. After each problem's rotation, one stack
     carries them all: a stacked delta = 0 fit, its weighted sums
-    (_outer_rows), the search over log(delta), one _profile_cores call that
-    scores delta = 0 against the delta found (an exact tie goes to 0), and
-    beta = beta0 + a^-1 b from the sums at the winner. s2 is the weighted
-    mean square of the residuals there: the Schur complement would cancel
+    (_outer_rows) and one _profile call on the grid. Each problem's bracket
+    is the grid step from its best point on the side where the profile falls,
+    or that point alone at a range end. Each bisection step scores only the
+    brackets still wider than 1e-6 and keeps the half where the slope changes
+    sign; the midpoint is the delta found. One more _profile call scores
+    delta = 0 against it (an exact tie goes to 0), and beta = beta0 + a^-1 b
+    comes from the sums at the winner. s2, and the loglik from it, is the
+    weighted mean square of the residuals there: the profile's rss cancels
     digits at large delta. Every problem gets bit for bit its lone fit.
     """
     yt = np.stack([u.T @ y for y, _, (_, u) in problems])
@@ -210,30 +215,36 @@ def _lmm_cores(problems):
     g = _outer_rows(xt, r0)
 
     grid = np.linspace(_LOGD_LO, _LOGD_HI, 9)
-    cores = _profile_cores(g, lams, np.broadcast_to(np.exp(grid), (size, len(grid))))
+    cores, slopes = _profile(g, lams, np.broadcast_to(np.exp(grid), (size, len(grid))))
     best = np.reshape(cores, (size, len(grid))).argmin(axis=1)
-    lo = grid[np.maximum(best - 1, 0)].tolist()
-    hi = grid[np.minimum(best + 1, len(grid) - 1)].tolist()
-    # math.exp, not np.exp: numpy's SIMD exp can differ from libm in the last bit
-    logds = _golden_mins(
-        lambda ts: _profile_cores(g, lams, np.array([math.exp(t) for t in ts])[:, None]),
-        lo, hi, _GOLDEN_TOL)
+    # the grid step where the profile falls from the best point; none at a range end
+    falls = slopes.reshape(size, len(grid))[np.arange(size), best] < 0
+    lo = grid[np.maximum(best - 1 + falls, 0)]
+    hi = grid[np.minimum(best + falls, len(grid) - 1)]
+    live = np.flatnonzero(hi - lo > 1e-6)
+    while live.size:
+        mid = (lo[live] + hi[live]) / 2.0
+        # math.exp, not np.exp: numpy's SIMD exp can differ from libm in the last bit
+        _, slopes = _profile(g[live], lams[live], np.array([math.exp(t) for t in mid])[:, None])
+        lo[live] = np.where(slopes < 0, mid, lo[live])
+        hi[live] = np.where(slopes < 0, hi[live], mid)
+        live = live[hi[live] - lo[live] > 1e-6]
 
-    found = np.array([math.exp(t) for t in logds])
-    cores = np.reshape(_profile_cores(g, lams, np.column_stack([np.zeros(size), found])),
-                       (size, 2))
+    found = np.array([math.exp(t) for t in (lo + hi) / 2.0])
+    cores, _ = _profile(g, lams, np.column_stack([np.zeros(size), found]))
+    cores = np.reshape(cores, (size, 2))
     delta = np.where(cores[:, 1] < cores[:, 0], found, 0.0)
     m = xt.shape[2] + 1
     v = delta[:, None] * lams + 1.0
     sums = np.matmul((1.0 / v)[:, None, :], g).reshape(-1, m, m)
-    # _profile_cores has factored these sums, so a is positive definite
+    # _profile has factored these sums, so a is positive definite
     a, b = sums[:, :-1, :-1], sums[:, :-1, -1:]
     step = np.linalg.solve(a, b)
     r = r0 - (xt @ step)[..., 0]
     s2 = np.mean(r * r / v, axis=1)
     _check_s2(s2.tolist())
     se = np.sqrt(s2[:, None] * np.diagonal(np.linalg.inv(a), axis1=1, axis2=2))
-    loglik = -0.5 * (n * math.log(2.0 * math.pi) + n + cores.min(axis=1))
+    loglik = -0.5 * (n * math.log(2.0 * math.pi) + n + n * np.log(s2) + np.log(v).sum(axis=1))
     return [LmmFit(beta=beta, se=se_i, sigma_g2=float(d * s), sigma_e2=float(s),
                    loglik=float(ll))
             for beta, se_i, d, s, ll in zip(beta0 + step[..., 0], se, delta, s2, loglik)]
@@ -254,17 +265,25 @@ def _outer_rows(xt, r0):
     return (z[..., :, None] * z[..., None, :]).reshape(*z.shape[:2], -1)
 
 
-def _profile_cores(g, lams, e):
-    """n log(rss / n) + sum(log v) at v = e[b, j] * lams[b] + 1, as a flat
-    list in the row order of e.
+def _profile(g, lams, e):
+    """(cores, slopes) at v = e[b, j] * lams[b] + 1, flat in the row order of e.
+
+    The core n log(rss / n) + sum(log v) is the profile up to constants. The
+    slope sum(lam / v) - n t / rss, t = sum(lam r^2 / v^2) over the residuals
+    r, has the sign of the core's derivative in log(delta).
 
     g stacks the _outer_rows of B problems, (B, n, m*m); lams stacks their
     eigenvalues, (B, n); e holds q values of delta per problem, (B, q).
     Each product of weights and sums is a per-problem np.matmul, the same
-    BLAS call as for that problem alone. One np.linalg.cholesky call then
-    factors all B*q sums [[a, b], [b', c]], one matrix at a time: the rss
-    c - b'a^-1 b is the square of a factor's last diagonal entry. Sums that
-    are not positive definite raise NumericError.
+    BLAS call as for that problem alone. One np.linalg.cholesky call factors
+    all B*q sums [[a, b], [b', c]]: the rss c - b'a^-1 b is the square of a
+    factor L's last diagonal entry L_mm. With L' w = e_m the residuals are
+    r = L_mm z w, so t / rss = w'Dw, D = sum(lam / v^2) z z' being one more
+    product on g. Sums that are not positive definite raise NumericError.
+
+    The sign needs no rounding margin: it can be wrong only where the slope
+    is zero to within the rss's rounding, and there either answer is a
+    stationary point of the profile to that rounding.
     """
     v = e[:, :, None] * lams[:, None, :] + 1.0
     m = math.isqrt(g.shape[2])
@@ -276,7 +295,11 @@ def _profile_cores(g, lams, e):
     rss = (chol[:, -1, -1] ** 2).tolist()
     _check_s2(rss)
     lvs = np.log(v).sum(axis=-1).ravel().tolist()
-    return [n * math.log(r / n) + lv for r, lv in zip(rss, lvs)]
+    cores = [n * math.log(r / n) + lv for r, lv in zip(rss, lvs)]
+    w = np.linalg.solve(np.swapaxes(chol, 1, 2), np.eye(m)[None, :, -1:])
+    d = np.matmul(lams[:, None, :] / (v * v), g).reshape(-1, m, m)
+    wdw = (np.swapaxes(w, 1, 2) @ d @ w).ravel()
+    return cores, (lams[:, None, :] / v).sum(axis=-1).ravel() - n * wdw
 
 
 def _check_s2(s2):
@@ -286,43 +309,6 @@ def _check_s2(s2):
             "zero or non-finite residual variance; likelihood undefined "
             "(is the model a perfect fit?)"
         )
-
-
-def _golden_mins(f, lo, hi, tol):
-    """Golden-section minima of B functions at once, problem i on [lo[i], hi[i]].
-
-    f maps a list of B points to the list of the B function values. Each
-    problem stops on its own once its bracket is no wider than tol; until
-    every one has stopped, a stopped problem is evaluated again at a point
-    it has already seen, and that value is dropped. Returns the midpoints
-    of the final brackets.
-    """
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = list(lo), list(hi)
-    c = [h - gr * (h - l) for l, h in zip(lo, hi)]
-    d = [l + gr * (h - l) for l, h in zip(lo, hi)]
-    fc, fd = f(c), f(d)
-    active = range(len(lo))
-    while True:
-        active = [i for i in active if hi[i] - lo[i] > tol]
-        if not active:
-            return [(l + h) / 2.0 for l, h in zip(lo, hi)]
-        x = list(c)
-        left = []
-        for i in active:
-            left.append(fc[i] < fd[i])
-            if left[-1]:
-                hi[i], d[i], fd[i] = d[i], c[i], fc[i]
-                c[i] = x[i] = hi[i] - gr * (hi[i] - lo[i])
-            else:
-                lo[i], c[i], fc[i] = c[i], d[i], fd[i]
-                d[i] = x[i] = lo[i] + gr * (hi[i] - lo[i])
-        fx = f(x)
-        for i, to_c in zip(active, left):
-            if to_c:
-                fc[i] = fx[i]
-            else:
-                fd[i] = fx[i]
 
 
 def _sd(v):

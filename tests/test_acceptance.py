@@ -261,12 +261,13 @@ def test_criterion_10_invariance_suites(capsys, er_net, monkeypatch):
             if abs(null_moments(y, wa).var_i - null_moments(y, ws).var_i) >= 1e-10:
                 ok_sym = False
 
-    # determinism under parallelism: at m = 520 each sparse test has two
-    # chunks, scored by one worker on one core or by two on two cores
+    # determinism under parallelism: at m = 1100 each sparse test has two
+    # full 512-row chunks and a third, scored by one worker on one core or by
+    # two on two cores, so each worker's counts carry a full chunk
     runs = []
     for cores in (1, 2):
         monkeypatch.setattr(deptest, "_cores", lambda: cores)
-        runs.append(run_spurious_regression_experiment(er_net, reps=8, seed=0, m=520))
+        runs.append(run_spurious_regression_experiment(er_net, reps=8, seed=0, m=1100))
     ok_par = runs[0].rows == runs[1].rows and runs[0].replicates == runs[1].replicates
 
     ok = ok_affine and ok_scale and ok_sym and ok_par

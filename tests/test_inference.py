@@ -383,7 +383,7 @@ def test_lmm_fit_at_rounding_level_raises_numeric_error():
 
 
 # lmm_fit searches and fits on weighted sums (inference._outer_rows and
-# _profile_cores); the tests below hold it to a refit of the residuals.
+# _profile); the tests below hold it to a refit of the residuals.
 
 def _residual_fit(xt, yt, lam, delta):
     """(profile core, beta, s2, a) at delta by solving the weighted normal
@@ -401,25 +401,38 @@ def _residual_fit(xt, yt, lam, delta):
     return len(yt) * math.log(s2) + float(np.log(v).sum()), beta, s2, a
 
 
+def _residual_slope(xt, yt, lam, delta):
+    """The refit's sum(lam/v) - n * sum(lam r^2/v^2) / sum(r^2/v), which has
+    the sign of the profile core's derivative in log(delta)."""
+    v = delta * lam + 1.0
+    r = yt - xt @ _residual_fit(xt, yt, lam, delta)[1]
+    return float(np.sum(lam / v) - len(yt) * np.sum(lam * r * r / (v * v)) / np.sum(r * r / v))
+
+
 def _residual_route_lmm(y, x, k):
-    """(beta, se) of lmm_fit with every search step fitted by _residual_fit."""
+    """(beta, se) of lmm_fit with every search step fitted by _residual_fit:
+    the grid, then a bisection on the sign of _residual_slope."""
     lam, u = inference._lmm_factor(k, len(y))
     n = len(y)
     yt, xt = u.T @ y, u.T @ x
-
-    def negll(logd):
-        return _residual_fit(xt, yt, lam, math.exp(logd))[0]
-
     core0, _, s2_0, _ = _residual_fit(xt, yt, lam, 0.0)
     if not s2_0 > np.finfo(float).eps * float(yt @ yt) / n:
         raise NumericError("residual variance at the rounding level of y")
-    grid = np.linspace(inference._LOGD_LO, inference._LOGD_HI, 9)
-    cores = [negll(g) for g in grid]
-    g_best = int(np.argmin(cores))
-    lo, hi = grid[max(0, g_best - 1)], grid[min(len(grid) - 1, g_best + 1)]
-    logd, = inference._golden_mins(lambda ts: [negll(ts[0])], [float(lo)], [float(hi)],
-                                   inference._GOLDEN_TOL)
-    core_best, delta = min([(core0, 0.0), (negll(logd), math.exp(logd))], key=lambda c: c[0])
+    grid = np.linspace(inference._LOGD_LO, inference._LOGD_HI, 9).tolist()
+    best = int(np.argmin([_residual_fit(xt, yt, lam, math.exp(t))[0] for t in grid]))
+    if _residual_slope(xt, yt, lam, math.exp(grid[best])) < 0:
+        lo, hi = grid[best], grid[min(best + 1, 8)]
+    else:
+        lo, hi = grid[max(best - 1, 0)], grid[best]
+    while hi - lo > 1e-6:
+        mid = (lo + hi) / 2.0
+        if _residual_slope(xt, yt, lam, math.exp(mid)) < 0:
+            lo = mid
+        else:
+            hi = mid
+    delta = math.exp((lo + hi) / 2.0)
+    if not _residual_fit(xt, yt, lam, delta)[0] < core0:
+        delta = 0.0
     _, beta, s2, a = _residual_fit(xt, yt, lam, delta)
     return beta, np.sqrt(np.diagonal(s2 * np.linalg.inv(a)))
 
@@ -439,10 +452,17 @@ def test_lmm_sums_route_core_matches_residual_route(seed, p, rank, logd, noise):
     yt, xt = u.T @ y, u.T @ x
     beta0 = _residual_fit(xt, yt, lam, 0.0)[1]
     rows = inference._outer_rows(xt[None], (yt - xt @ beta0)[None])
-    got, = inference._profile_cores(rows, lam[None], np.array([[math.exp(logd)]]))
+    (got,), (slope,) = inference._profile(rows, lam[None], np.array([[math.exp(logd)]]))
     want = _residual_fit(xt, yt, lam, math.exp(logd))[0]
     # a relative error e in the residual sum of squares moves the core by n * e
     assert abs(got - want) <= 1e-9 * max(abs(want), n)
+    # the slope's sign is that of the refit core's central difference in
+    # log(delta), wherever that difference stands clear of its own error
+    h = 1e-4
+    diff = (_residual_fit(xt, yt, lam, math.exp(logd + h))[0]
+            - _residual_fit(xt, yt, lam, math.exp(logd - h))[0]) / (2.0 * h)
+    if abs(diff) > 1e-4 * n:
+        assert (slope > 0) == (diff > 0), (slope, diff)
 
 
 def _rotated_sums(rng, n, x, nan=False):
@@ -469,17 +489,17 @@ def test_profile_cores_refuse_bad_sums_alone_and_in_a_stack(fault):
     bad = _rotated_sums(rng, n, x, nan=fault == "nan")
     e = np.array([[0.0, 1.0], [0.5, 2.0], [1e-3, 30.0]])
     with pytest.raises(NumericError) as alone:
-        inference._profile_cores(bad[0][None], bad[1][None], e[1:2])
+        inference._profile(bad[0][None], bad[1][None], e[1:2])
     stack = [good[0], bad, good[1]]
     with pytest.raises(NumericError) as stacked:
-        inference._profile_cores(np.stack([g for g, _ in stack]),
-                                 np.stack([lam for _, lam in stack]), e)
+        inference._profile(np.stack([g for g, _ in stack]),
+                           np.stack([lam for _, lam in stack]), e)
     assert str(stacked.value) == str(alone.value)
     if fault == "zero column":
         assert str(alone.value).startswith("weighted normal equations singular: ")
-    cores = inference._profile_cores(np.stack([g for g, _ in good]),
-                                     np.stack([lam for _, lam in good]), e[[0, 2]])
-    assert all(math.isfinite(c) for c in cores)
+    cores, slopes = inference._profile(np.stack([g for g, _ in good]),
+                                       np.stack([lam for _, lam in good]), e[[0, 2]])
+    assert all(math.isfinite(c) for c in cores) and np.all(np.isfinite(slopes))
 
 
 def _batch_problem(rng, n, p, kind):
@@ -515,8 +535,8 @@ def test_lmm_batch_fits_each_problem_as_alone(seed, p, n_extra, kinds):
         assert np.array_equal(got.beta, alone.beta) and np.array_equal(got.se, alone.se)
         assert (got.sigma_g2, got.sigma_e2, got.loglik) == (
             alone.sigma_g2, alone.sigma_e2, alone.loglik)
-        if kind == "edge":  # the search ran into the top of its range
-            assert math.log(got.sigma_g2 / got.sigma_e2) > inference._LOGD_HI - 1e-6
+        if kind == "edge":  # the search ends at the top of its range
+            assert abs(math.log(got.sigma_g2 / got.sigma_e2) - inference._LOGD_HI) <= 1e-12
         if kind in ("tie", "null"):
             assert got.sigma_g2 == 0.0
 
@@ -540,6 +560,13 @@ def test_lmm_sums_fit_matches_the_residual_refit_at_its_delta(seed, p, n_extra, 
     se = np.sqrt(np.diagonal(s2 * np.linalg.inv(a)))
     assert np.all(np.abs(fit.beta - beta) <= 1e-9 * se)
     assert np.all(np.abs(fit.se - se) <= 1e-9 * se)
+    # loglik is the Gaussian log-likelihood of y at the reported fit, here
+    # from the dense covariance (over 400 draws they agreed to 6.3e-12)
+    cov = fit.sigma_g2 * k + fit.sigma_e2 * np.eye(n)
+    r = y - x @ fit.beta
+    ll = -0.5 * (n * math.log(2.0 * math.pi) + np.linalg.slogdet(cov)[1]
+                 + r @ np.linalg.solve(cov, r))
+    assert abs(fit.loglik - ll) <= 1e-9 * max(1.0, abs(ll))
 
 
 def test_lmm_batch_raises_the_error_of_its_failing_problem():
