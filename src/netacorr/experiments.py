@@ -48,10 +48,10 @@ from .errors import BadCovarianceError, InputError, _cells, _choice, _count, _fl
 from .graph import _edge_weights, adjacency_weights
 from .inference import (
     _check_design,
+    _eigen_factor,
     _gls_core,
     _gls_factor,
     _lmm_cores,
-    _lmm_factor,
     _sd,
     _z_quantile,
     mean_ci_naive,
@@ -451,7 +451,7 @@ def _run_study(name, one_rep, reps, seed, config, cells, columns,
 def _cell_factors(net, kappa_list, lambdas, a, sigma, estimator, kinship):
     """{(kappa, lambda): the estimator's factor of K_lambda}, one factor per
     distinct K_lambda; no K is kept."""
-    factor = _lmm_factor if estimator == "lmm" else _gls_factor
+    factor = (lambda k, n: _eigen_factor(k, n, "k")) if estimator == "lmm" else _gls_factor
     kin = _clipped_adjacency_kinship(net) if kinship == "adjacency" else None
     factors = {}
     for kappa in dict.fromkeys(kappa_list):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (BadCovarianceError, InputError, NumericError, SingularDesignError,
                      _check_y, _float_array, _real, _scaled, _unscaled)
@@ -111,8 +110,10 @@ def gls(y, x, sigma, level=0.95):
     beta = (X' Sigma^-1 X)^-1 X' Sigma^-1 y and SE from (X' Sigma^-1 X)^-1
     directly: sigma is the actual covariance, not a shape up to scale, so
     scaling sigma by c scales every SE by sqrt(c). With sigma = I the
-    coefficients and residuals match ols exactly; the SEs differ by the
-    estimated residual scale that ols applies and gls does not.
+    coefficients and residuals match ols to rounding; the SEs differ by the
+    estimated residual scale that ols applies and gls does not. The fit runs
+    in sigma's eigenbasis, as lmm_fit does, so sigma must be positive definite
+    to n * eps (numpy's matrix_rank tolerance) or BadCovarianceError is raised.
     """
     y, x, n, p = _check_design(y, x)
     _real("level", level, 0, 1, strict=True)
@@ -124,22 +125,22 @@ def gls(y, x, sigma, level=0.95):
 
 
 def _gls_factor(sigma, n):
-    """Validated lower Cholesky factor of an n x n covariance, for _gls_core."""
-    sigma = _check_covariance(sigma, n, "sigma")
-    try:
-        return cho_factor(sigma, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise BadCovarianceError(f"sigma is not positive definite: {exc}") from exc
+    """The _eigen_factor of an n x n covariance positive definite to n * eps."""
+    lam, u = _eigen_factor(sigma, n, "sigma")
+    if lam[0] <= n * np.finfo(float).eps * lam[-1]:
+        raise BadCovarianceError(f"sigma is not positive definite to n * eps: its "
+                                 f"eigenvalues run from {lam[0]:.3g} to {lam[-1]:.3g}")
+    return lam, u
 
 
-def _gls_core(y, x, cf):
+def _gls_core(y, x, factor):
     """(beta, se, residuals) of the GLS fit of checked y, x on a _gls_factor."""
-    xw = cho_solve(cf, x)
-    a = x.T @ xw
-    beta = np.linalg.solve(a, xw.T @ y)
-    cov_beta = np.linalg.inv(a)
-    se = np.sqrt(np.diagonal(cov_beta))
-    return beta, se, y - x @ beta
+    lam, u = factor
+    xt, yt = u.T @ x, u.T @ y
+    xw = xt / lam[:, None]
+    a = xt.T @ xw
+    beta = np.linalg.solve(a, xw.T @ yt)
+    return beta, np.sqrt(np.diagonal(np.linalg.inv(a))), y - x @ beta
 
 
 _LOGD_LO, _LOGD_HI = -10.0, 10.0
@@ -165,17 +166,16 @@ def lmm_fit(y, x, k):
     only the product sigma_g2 * K is identified.
     """
     y, x, n, p = _check_design(y, x)
-    return _lmm_cores([(y, x, _lmm_factor(k, n))])[0]
+    return _lmm_cores([(y, x, _eigen_factor(k, n, "k"))])[0]
 
 
-def _lmm_factor(k, n):
-    """(eigenvalues clipped at 0, eigenvectors) of a validated n x n PSD k."""
-    k = _check_covariance(k, n, "k")
+def _eigen_factor(k, n, name):
+    """(eigenvalues clipped at 0, eigenvectors) of a checked n x n PSD k, named name."""
+    k = _check_covariance(k, n, name)
     lam, u = np.linalg.eigh(k)
-    if lam[-1] > 0 and lam[0] < -1e-8 * max(1.0, lam[-1]):
-        raise BadCovarianceError(
-            f"k has a substantially negative eigenvalue ({lam[0]:.3g}); not PSD"
-        )
+    if lam[0] < -1e-8 * max(1.0, lam[-1]):
+        raise BadCovarianceError(f"{name} has a substantially negative eigenvalue "
+                                 f"({lam[0]:.3g}); not PSD")
     return np.clip(lam, 0.0, None), u
 
 
@@ -183,7 +183,7 @@ def _lmm_cores(problems):
     """The lmm_fit of each (y, x, factor) in problems, in order.
 
     y and x are checked, with one n and one p across the problems, and
-    factor is an _lmm_factor of k. After each problem's rotation, one stack
+    factor is an _eigen_factor of k. After each problem's rotation, one stack
     carries them all: a stacked delta = 0 fit, its weighted sums
     (_outer_rows) and one _profile call on the grid. Each problem's bracket
     is the grid step from its best point on the side where the profile falls,

@@ -147,6 +147,18 @@ def test_ols_residual_variance_beyond_the_float_range_raises_numeric_error():
     assert math.isfinite(mean_ci_naive(y * 1e140).se)
 
 
+def _under_one_and_two_blas_threads(code):
+    """The stdout of code run in two fresh processes, under 1 and 2 OpenBLAS threads."""
+    src = os.path.dirname(os.path.dirname(inference.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": t})
+            for t in ("1", "2")]
+    out = [run.communicate()[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    return out
+
+
 def test_ols_does_not_depend_on_the_blas_thread_count():
     # OpenBLAS splits a long dot product across its threads, which moved the
     # last bit of the residual sum of squares between one thread and two
@@ -156,14 +168,21 @@ def test_ols_does_not_depend_on_the_blas_thread_count():
             "    x = np.column_stack([np.ones(100000), rng.standard_normal((100000, 2))])\n"
             "    fit = ols(rng.standard_normal(100000), x)\n"
             "    print(repr(fit.sigma2), repr(fit.se.tolist()))")
-    src = os.path.dirname(os.path.dirname(inference.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    runs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
-                             env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": t})
-            for t in ("1", "2")]
-    out = [run.communicate()[0] for run in runs]
-    assert [run.returncode for run in runs] == [0, 0]
+    out = _under_one_and_two_blas_threads(code)
     assert out[0].count("\n") == 6 and out[0] == out[1]
+
+
+def test_gls_study_does_not_depend_on_the_blas_thread_count():
+    # a blocked LAPACK factorisation of K can follow the BLAS thread count;
+    # at 200 nodes eigh does not (from about n = 400 it does, see the README)
+    code = ("from netacorr import generate_random_network, run_gls_correction_experiment\n"
+            "net = generate_random_network(200)\n"
+            "for kinship, lambdas in (('transmission', (0.0, 0.5)), ('adjacency', (0.1, 0.5))):\n"
+            "    rep = run_gls_correction_experiment(net, lambdas=lambdas, reps=2,\n"
+            "                                        estimator='gls', kinship=kinship)\n"
+            "    print(repr([(rec['slope'], rec['se']) for rec in rep.replicates]))")
+    out = _under_one_and_two_blas_threads(code)
+    assert out[0].count("\n") == 2 and out[0] == out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +237,7 @@ def test_gls_covariance_errors():
     y = rng.standard_normal(n)
     bad = np.eye(n)
     bad[0, 0] = -1.0
-    with pytest.raises(BadCovarianceError):
+    with pytest.raises(BadCovarianceError, match="^sigma has a substantially negative"):
         gls(y, x, bad)
     asym = np.eye(n)
     asym[0, 1] = 0.5
@@ -226,6 +245,12 @@ def test_gls_covariance_errors():
         gls(y, x, asym)
     with pytest.raises(InputError):
         gls(y, x, np.eye(n + 1))
+    a = rng.standard_normal((n, n - 2))  # PSD of rank n - 2
+    with pytest.raises(BadCovarianceError, match="^sigma is not positive definite"):
+        gls(y, x, a @ a.T)
+    # the definiteness check is relative to the largest eigenvalue, so no scale is refused
+    tiny = gls(y, x, 1e-300 * np.eye(n))
+    np.testing.assert_allclose(tiny.beta, gls(y, x, np.eye(n)).beta, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +367,9 @@ def test_lmm_covariance_errors():
     indefinite[-1, -1] = -0.5
     with pytest.raises(BadCovarianceError):
         lmm_fit(y, x, indefinite)
+    # negative definite: no eigenvalue is positive, and K = 0 would hide it
+    with pytest.raises(BadCovarianceError, match="^k has a substantially negative"):
+        lmm_fit(y, x, -np.eye(n))
     asym = np.eye(n)
     asym[0, 1] = 0.3
     with pytest.raises(BadCovarianceError):
@@ -412,7 +440,7 @@ def _residual_slope(xt, yt, lam, delta):
 def _residual_route_lmm(y, x, k):
     """(beta, se) of lmm_fit with every search step fitted by _residual_fit:
     the grid, then a bisection on the sign of _residual_slope."""
-    lam, u = inference._lmm_factor(k, len(y))
+    lam, u = inference._eigen_factor(k, len(y), "k")
     n = len(y)
     yt, xt = u.T @ y, u.T @ x
     core0, _, s2_0, _ = _residual_fit(xt, yt, lam, 0.0)
@@ -446,7 +474,7 @@ def test_lmm_sums_route_core_matches_residual_route(seed, p, rank, logd, noise):
     rng = np.random.default_rng(seed)
     n = 24
     a = rng.standard_normal((n, rank))
-    lam, u = inference._lmm_factor(a @ a.T, n)
+    lam, u = inference._eigen_factor(a @ a.T, n, "k")
     x = _design(rng, n, p)
     y = x @ rng.uniform(-3.0, 3.0, p) + noise * rng.standard_normal(n)
     yt, xt = u.T @ y, u.T @ x
@@ -468,7 +496,7 @@ def test_lmm_sums_route_core_matches_residual_route(seed, p, rank, logd, noise):
 def _rotated_sums(rng, n, x, nan=False):
     """(_outer_rows, eigenvalues) of a problem with design x on a random PSD K.
     With nan, one rotated design entry is NaN after the delta = 0 fit."""
-    lam, u = inference._lmm_factor(_psd_k(rng, n), n)
+    lam, u = inference._eigen_factor(_psd_k(rng, n), n, "k")
     xt, yt = u.T @ x, u.T @ rng.standard_normal(n)
     r0 = yt - xt @ np.linalg.lstsq(xt, yt, rcond=None)[0]
     if nan:
@@ -529,7 +557,7 @@ def test_lmm_batch_fits_each_problem_as_alone(seed, p, n_extra, kinds):
     rng = np.random.default_rng(seed)
     n = 10 + n_extra
     drawn = [_batch_problem(rng, n, p, kind) for kind in kinds]
-    batch = inference._lmm_cores([(y, x, inference._lmm_factor(k, n)) for y, x, k in drawn])
+    batch = inference._lmm_cores([(y, x, inference._eigen_factor(k, n, "k")) for y, x, k in drawn])
     for kind, (y, x, k), got in zip(kinds, drawn, batch):
         alone = lmm_fit(y, x, k)
         assert np.array_equal(got.beta, alone.beta) and np.array_equal(got.se, alone.se)
@@ -555,7 +583,7 @@ def test_lmm_sums_fit_matches_the_residual_refit_at_its_delta(seed, p, n_extra, 
     n = 10 + n_extra
     y, x, k = _batch_problem(rng, n, p, kind)
     fit = lmm_fit(y, x, k)
-    lam, u = inference._lmm_factor(k, n)
+    lam, u = inference._eigen_factor(k, n, "k")
     _, beta, s2, a = _residual_fit(u.T @ x, u.T @ y, lam, fit.sigma_g2 / fit.sigma_e2)
     se = np.sqrt(np.diagonal(s2 * np.linalg.inv(a)))
     assert np.all(np.abs(fit.beta - beta) <= 1e-9 * se)
@@ -574,7 +602,7 @@ def test_lmm_batch_raises_the_error_of_its_failing_problem():
     n = 12
     x = _design(rng, n, 2)
     rounding = x @ np.array([3.0, 1.5]) * (1.0 + 1e-15 * rng.standard_normal(n))
-    factor = inference._lmm_factor(np.eye(n), n)
+    factor = inference._eigen_factor(np.eye(n), n, "k")
     with pytest.raises(NumericError) as alone:
         lmm_fit(rounding, x, np.eye(n))
     good = [(y, x, factor) for y in rng.standard_normal((2, n))]
