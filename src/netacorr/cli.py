@@ -59,7 +59,7 @@ def build_parser():
     _add_stat_options(p_test)
     p_test.add_argument("--geary", action="store_true", help="also report Geary's c")
     _add_output_options(p_test)
-    p_test.set_defaults(func=cmd_test)
+    p_test.set_defaults(func=cmd_test, design=None)
 
     p_res = sub.add_parser("residual-test",
                            help="OLS fit, then the dependence test on residuals")
@@ -69,7 +69,7 @@ def build_parser():
                        help="covariate CSV (node,<col1>,...); intercept added")
     _add_stat_options(p_res)
     _add_output_options(p_res)
-    p_res.set_defaults(func=cmd_residual_test)
+    p_res.set_defaults(func=cmd_test, geary=False)
 
     # The model options of simulate and generate-network, the study options
     # of experiment, and their --seed, --reps, --n and --net-seed default to
@@ -160,36 +160,30 @@ def _add_output_options(parser):
 
 
 def cmd_test(args):
+    """test, and residual-test: with --design, the values are first fitted by
+    OLS on an intercept and the design, and the residuals are tested."""
     net, labels = load_edge_list(args.edges)
     y = _load_values_csv(args.values, labels)
+    options, fitted = _echo_stat_options(args), {}
+    if args.design is not None:
+        names, xcols = _load_node_table(args.design, labels, "design")
+        fit = ols(y, np.column_stack([np.ones(len(y)), xcols]))
+        y = fit.residuals
+        options["design"] = args.design
+        fitted["fit"] = {
+            "names": ["intercept"] + names,
+            "beta": [float(b) for b in fit.beta],
+            "se": [float(s) for s in fit.se],
+            "ci": [[float(lo), float(hi)] for lo, hi in fit.ci],
+            "sigma2": fit.sigma2,
+        }
     w = _weights_for(net, args.weights)
     res = _run_test(y, w, args)
     result = _result_fields(res)
     if args.geary:
         result["gearys_c"] = gearys_c(y, w)
-    _emit(document(command="test", options=_echo_stat_options(args), result=result), args)
-    _human_summary("test", res)
-    return 0
-
-
-def cmd_residual_test(args):
-    net, labels = load_edge_list(args.edges)
-    y = _load_values_csv(args.values, labels)
-    names, xcols = _load_node_table(args.design, labels, "design")
-    design = np.column_stack([np.ones(len(y)), xcols])
-    fit = ols(y, design)
-    res = _run_test(fit.residuals, _weights_for(net, args.weights), args)
-    fitted = {
-        "names": ["intercept"] + names,
-        "beta": [float(b) for b in fit.beta],
-        "se": [float(s) for s in fit.se],
-        "ci": [[float(lo), float(hi)] for lo, hi in fit.ci],
-        "sigma2": fit.sigma2,
-    }
-    options = _echo_stat_options(args, design=args.design)
-    _emit(document(command="residual-test", options=options, fit=fitted,
-                   result=_result_fields(res)), args)
-    _human_summary("residual-test", res)
+    _emit(document(command=args.subcommand, options=options, **fitted, result=result), args)
+    _human_summary(args.subcommand, res)
     return 0
 
 
@@ -277,8 +271,8 @@ def _result_fields(res):
     }
 
 
-def _echo_stat_options(args, **extra):
-    opts = {
+def _echo_stat_options(args):
+    return {
         "edges": args.edges,
         "values": args.values,
         "weights": args.weights,
@@ -288,8 +282,6 @@ def _echo_stat_options(args, **extra):
         "seed": args.seed,
         "format": args.format,
     }
-    opts.update(extra)
-    return opts
 
 
 def _human_summary(kind, res):
@@ -390,7 +382,8 @@ def _load_node_table(path, labels, kind):
                 f"{path}: non-numeric {kind} entry for node {label!r} at row {rownum}"
             ) from None
         if not all(math.isfinite(v) for v in vals):
-            raise InputError(f"{path}: non-finite {kind} entry for node {label!r}")
+            raise InputError(
+                f"{path}: non-finite {kind} entry for node {label!r} at row {rownum}")
         seen[label] = vals
     _check_label_match(path, seen, labels)
     return header[1:], np.array([seen[lab] for lab in labels])

@@ -44,7 +44,7 @@ import numpy as np
 
 from ._io import document, json_text, records_csv_text, write_text, writing
 from .deptest import _centre, _check_w, _rejects
-from .errors import BadCovarianceError, InputError, _cells, _choice, _count, _flag, _real
+from .errors import BadCovarianceError, _cells, _choice, _count, _flag, _real
 from .graph import _edge_weights, adjacency_weights
 from .inference import (
     _check_design,
@@ -79,6 +79,11 @@ __all__ = [
 
 # Leading stream tags, one per experiment, so experiments never share draws.
 _CORR, _COVER, _SPUR, _DEGREE, _GLSEXP = 1, 2, 3, 4, 5
+
+# The studies' interval level and permutation-test level, and the normal
+# quantile of the interval.
+_LEVEL, _ALPHA = 0.95, 0.05
+_Z = _z_quantile(_LEVEL)
 
 # Named (a, sigma, kappa) settings for the correlation-distribution runs.
 # The error scale controls how completely transmission wipes out the iid
@@ -155,9 +160,8 @@ def run_correlation_distribution(net, settings=None, reps=500, seed=0, threads=1
     long-horizon regime, pile up near -1 and +1 even though the fields
     never interact.
 
-    settings may be None (the named defaults), a list of sigma floats
-    (each becomes a=0.9, kappa=10 transmission), or (label, cfg) pairs
-    with cfg a TransmissionConfig or None for the iid baseline.
+    settings may be None (the named defaults) or a list of sigma floats,
+    each a=0.9, kappa=10 transmission next to the iid baseline.
     """
     reps, seed = _count("reps", reps, 2), _count("seed", seed, 0)
     _count("threads", threads, 1)
@@ -189,20 +193,17 @@ def run_correlation_distribution(net, settings=None, reps=500, seed=0, threads=1
 
 
 def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
-                            a=0.5, sigma=0.5, level=0.95, alpha=0.05,
-                            m=500, threads=1):
+                            a=0.5, sigma=0.5, m=500, threads=1):
     """Coverage of the naive iid mean interval as transmission deepens.
 
     The process mean is 0 at every horizon, so the nominal-level interval
-    from mean_ci_naive should cover 0 about level of the time; dependence
+    from mean_ci_naive should cover 0 about 95% of the time; dependence
     shrinks the reported SE relative to the true sampling spread of the
     mean and coverage decays with kappa. Also records the rejection rate
     of the permutation dependence test on the same data.
     """
     reps, seed, m = _count("reps", reps, 2), _count("seed", seed, 0), _count("m", m, 1)
     _count("threads", threads, 1)
-    _real("alpha", alpha, 0, 1, strict=True)
-    _real("level", level, 0, 1, strict=True)
     cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
             for k in _cells("kappa_list", kappa_list)]
     kappa_list = [cfg.kappa for cfg in cfgs]
@@ -210,13 +211,13 @@ def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
 
     def one_rep(r):
         ys = [direct_transmission(net, cfg, rng=_rng(_COVER, seed, r, 0)) for cfg in cfgs]
-        ests = [mean_ci_naive(y, level=level) for y in ys]
-        bits = _rejects(ys, w, s0, m, _seed_int(_COVER, seed, r, 1), alpha)
+        ests = [mean_ci_naive(y, level=_LEVEL) for y in ys]
+        bits = _rejects(ys, w, s0, m, _seed_int(_COVER, seed, r, 1), _ALPHA)
         return [(est.mean, est.se, float(est.ci[0] <= 0.0 <= est.ci[1]), bit)
                 for est, bit in zip(ests, bits)]
 
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
-              "level": level, "alpha": alpha, "m": m}
+              "level": _LEVEL, "alpha": _ALPHA, "m": m}
     return _run_study("coverage", one_rep, reps, seed, config,
                       [{"kappa": kappa} for kappa in kappa_list],
                       (("estimate", float), ("se", float), ("covered", int), ("reject_y", int)),
@@ -224,8 +225,7 @@ def run_coverage_experiment(net, kappa_list=(0, 1, 2, 3), reps=500, seed=0,
 
 
 def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
-                                       seed=0, a=0.7, sigma=0.05, level=0.95,
-                                       alpha=0.05, m=500,
+                                       seed=0, a=0.7, sigma=0.05, m=500,
                                        include_permuted_baseline=True, threads=1):
     """Regression of one independently transmitted field on another.
 
@@ -239,8 +239,6 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
     """
     reps, seed, m = _count("reps", reps, 2), _count("seed", seed, 0), _count("m", m, 1)
     _count("threads", threads, 1)
-    _real("alpha", alpha, 0, 1, strict=True)
-    _real("level", level, 0, 1, strict=True)
     include_permuted_baseline = _flag("include_permuted_baseline", include_permuted_baseline)
     cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
             for k in _cells("kappa_list", kappa_list)]
@@ -248,7 +246,6 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
     w, s0, _ = _check_w(_edge_weights(net), net.n)
     n = net.n
     kmax = max(kappa_list)
-    z = _z_quantile(level)
     labels = list(kappa_list) + (["permuted"] if include_permuted_baseline else [])
 
     def one_rep(r):
@@ -257,11 +254,11 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
         if include_permuted_baseline:
             xk, yk = pairs[kappa_list.index(kmax)]
             pairs.append((xk, yk[_rng(_SPUR, seed, r, 5).permutation(n)]))
-        return _spurious_cells(pairs, w, s0, m, _seed_int(_SPUR, seed, r, 2), z, alpha)
+        return _spurious_cells(pairs, w, s0, m, _seed_int(_SPUR, seed, r, 2))
 
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
               "include_permuted_baseline": include_permuted_baseline,
-              "level": level, "alpha": alpha, "m": m}
+              "level": _LEVEL, "alpha": _ALPHA, "m": m}
     return _run_study("spurious-regression", one_rep, reps, seed, config,
                       [{"kappa": label} for label in labels],
                       _SLOPE_COLUMNS + (("reject_x", int), ("reject_y", int),
@@ -270,45 +267,40 @@ def run_spurious_regression_experiment(net, kappa_list=(0, 1, 2, 3), reps=500,
                                           "reject_resid"))
 
 
-def _spurious_cells(pairs, w, s0, m, seed, z, alpha):
+def _spurious_cells(pairs, w, s0, m, seed):
     """One row of values per (x, y) pair: the OLS slope of y on x, then the
     reject bits of x, y and the residuals; every test runs on the one stream
     seed, and an x shared by two pairs is scored once."""
     fits = [ols(y, np.column_stack([np.ones(len(x)), x])) for x, y in pairs]
     tested = [v for (x, y), fit in zip(pairs, fits) for v in (x, y, fit.residuals)]
-    bits = _rejects(tested, w, s0, m, seed, alpha)
-    return [(*_slope_cell(fit.beta, fit.se, z), *bits[3 * j:3 * j + 3])
+    bits = _rejects(tested, w, s0, m, seed, _ALPHA)
+    return [(*_slope_cell(fit.beta, fit.se), *bits[3 * j:3 * j + 3])
             for j, fit in enumerate(fits)]
 
 
 def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
-                                      seed=0, outcome_effect=0.5, noise=1.0,
-                                      control_degree=False, level=0.95,
-                                      alpha=0.05, m=500, threads=1):
+                                      seed=0, control_degree=False, m=500, threads=1):
     """Degree as a common cause of covariate and outcome.
 
-    The outcome Y = outcome_effect * zdeg + eta is synthesized once per run
-    and held fixed; each replicate redraws the covariate
-    x = b * zdeg + noise * eps. The true effect of x on Y is 0 by
-    construction, so an uncontrolled regression with b != 0 shows the
-    classic omitted-variable displacement, while adding zdeg to the design
-    (control_degree=True) restores centering and coverage.
+    The outcome Y = 0.5 * zdeg + eta is synthesized once per run and held
+    fixed; each replicate redraws the covariate x = b * zdeg + eps. The true
+    effect of x on Y is 0 by construction, so an uncontrolled regression
+    with b != 0 shows the classic omitted-variable displacement, while
+    adding zdeg to the design (control_degree=True) restores centering and
+    coverage.
     """
     reps, seed, m = _count("reps", reps, 2), _count("seed", seed, 0), _count("m", m, 1)
     _count("threads", threads, 1)
-    _real("alpha", alpha, 0, 1, strict=True)
-    _real("level", level, 0, 1, strict=True)
-    _real("outcome_effect", outcome_effect)
     control_degree = _flag("control_degree", control_degree)
-    cfgs = [ConfoundConfig(b=b, noise=noise)._checked()
+    cfgs = [ConfoundConfig(b=b)._checked()
             for b in _cells("effect_sizes", effect_sizes)]
     w, s0, _ = _check_w(_edge_weights(net), net.n)
     n = net.n
     zdeg = standardized_degrees(net)
     rng_y = _rng(_DEGREE, seed, 0, 0)
+    outcome_effect = 0.5
     y = outcome_effect * zdeg + rng_y.standard_normal(n)
-    [reject_y] = _rejects([y], w, s0, m, _seed_int(_DEGREE, seed, 0, 1), alpha)
-    z = _z_quantile(level)
+    [reject_y] = _rejects([y], w, s0, m, _seed_int(_DEGREE, seed, 0, 1), _ALPHA)
 
     def one_rep(r):
         xs = [degree_confounded_covariate(net, cfg, rng=_rng(_DEGREE, seed, r, 2))
@@ -316,14 +308,14 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
         fits = [ols(y, np.column_stack([np.ones(n), x] + ([zdeg] if control_degree else [])))
                 for x in xs]
         bits = _rejects(xs + [fit.residuals for fit in fits], w, s0, m,
-                        _seed_int(_DEGREE, seed, r, 3), alpha)
-        return [(*_slope_cell(fit.beta, fit.se, z), x_bit, resid_bit)
+                        _seed_int(_DEGREE, seed, r, 3), _ALPHA)
+        return [(*_slope_cell(fit.beta, fit.se), x_bit, resid_bit)
                 for fit, x_bit, resid_bit in zip(fits, bits, bits[len(xs):])]
 
     config = {"n": net.n, "effect_sizes": list(effect_sizes),
-              "outcome_effect": outcome_effect, "noise": noise,
-              "control_degree": control_degree, "level": level,
-              "alpha": alpha, "m": m}
+              "outcome_effect": outcome_effect, "noise": ConfoundConfig.noise,
+              "control_degree": control_degree, "level": _LEVEL,
+              "alpha": _ALPHA, "m": m}
     return _run_study("degree-confounding", one_rep, reps, seed, config,
                       [{"b": b, "controlled": int(control_degree)} for b in effect_sizes],
                       _SLOPE_COLUMNS + (("reject_x", int), ("reject_resid", int)),
@@ -336,8 +328,7 @@ def run_degree_confounding_experiment(net, effect_sizes=(0.0, 1.0), reps=500,
 def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
                                   lambdas=(0.0, 0.1, 0.25, 0.5), reps=500,
                                   seed=0, a=0.7, sigma=0.05, estimator="lmm",
-                                  kinship="transmission", level=0.95,
-                                  threads=1):
+                                  kinship="transmission", threads=1):
     """Dependence-aware regression under a (possibly misspecified) covariance.
 
     Replays the spurious-regression design but fits the slope with an
@@ -360,14 +351,12 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
     _choice("kinship", kinship, ("transmission", "adjacency"))
     for lam in _cells("lambdas", lambdas):
         _real("lambda", lam, 0, 1)
-    _real("level", level, 0, 1, strict=True)
     cfgs = [TransmissionConfig(a=a, sigma=sigma, kappa=k)._checked()
             for k in _cells("kappa_list", kappa_list)]
     kappa_list = [cfg.kappa for cfg in cfgs]
     n = net.n
     # K depends on the cell, never on the replicate: factor each distinct K once.
     factors = _cell_factors(net, kappa_list, lambdas, a, sigma, estimator, kinship)
-    z = _z_quantile(level)
 
     def one_rep(r):
         problems = []
@@ -379,11 +368,11 @@ def run_gls_correction_experiment(net, kappa_list=(1, 2, 3),
         # The mixed models of a replicate share one search over delta.
         fits = ([(fit.beta, fit.se) for fit in _lmm_cores(problems)] if estimator == "lmm"
                 else [_gls_core(*problem)[:2] for problem in problems])
-        return [_slope_cell(beta, se, z) for beta, se in fits]
+        return [_slope_cell(beta, se) for beta, se in fits]
 
     config = {"n": net.n, "a": a, "sigma": sigma, "kappa_list": list(kappa_list),
               "lambdas": list(lambdas), "estimator": estimator,
-              "kinship": kinship, "level": level}
+              "kinship": kinship, "level": _LEVEL}
     return _run_study("gls-correction", one_rep, reps, seed, config,
                       [{"kappa": kappa, "lambda": lam, "estimator": estimator}
                        for kappa in kappa_list for lam in lambdas],
@@ -411,11 +400,11 @@ _STUDIES = {
 EXPERIMENT_NAMES = tuple(_STUDIES)
 
 
-def _slope_cell(beta, se, z):
+def _slope_cell(beta, se):
     """(slope, se, covered) of the coefficient on x, the design's column 1:
-    covered is 1.0 when slope -/+ z * se brackets 0."""
+    covered is 1.0 when slope -/+ _Z * se brackets 0."""
     slope, se = float(beta[1]), float(se[1])
-    return slope, se, float(slope - z * se <= 0.0 <= slope + z * se)
+    return slope, se, float(slope - _Z * se <= 0.0 <= slope + _Z * se)
 
 
 def _run_study(name, one_rep, reps, seed, config, cells, columns,
@@ -486,19 +475,9 @@ def _clipped_adjacency_kinship(net):
 def _corr_settings(settings):
     if settings is None:
         return list(DEFAULT_CORR_SETTINGS)
-    out = [("iid", None)]
-    for s in _cells("settings", settings, least=0):
-        if isinstance(s, tuple) and len(s) == 2:
-            label, cfg = s
-            if cfg is not None and not isinstance(cfg, TransmissionConfig):
-                raise InputError(f"setting {label!r} must map to a TransmissionConfig or None")
-            if cfg is None and label == "iid":
-                continue  # baseline is always present
-            out.append((str(label), None if cfg is None else cfg._checked()))
-        else:
-            sigma = float(_real("sigma", s, 0))
-            out.append((f"sigma={sigma:g}", TransmissionConfig(a=0.9, sigma=sigma, kappa=10)))
-    return out
+    sigmas = [float(_real("sigma", s, 0)) for s in _cells("settings", settings, least=0)]
+    return [("iid", None)] + [(f"sigma={s:g}", TransmissionConfig(a=0.9, sigma=s, kappa=10))
+                              for s in sigmas]
 
 
 def _pearson(x, y):

@@ -290,10 +290,10 @@ def test_cli_values_file_errors(small_case, run_cli, tmp_path):
     assert "non-numeric" in err
 
     inf = tmp_path / "inf.csv"
-    inf.write_text("node,value\nv0,inf\n")
+    inf.write_text("node,value\nv0,1.0\nv1,inf\n")
     code, _, err = run_cli("test", "--edges", edges, "--values", str(inf))
     assert code == 2
-    assert "non-finite" in err
+    assert "non-finite values entry for node 'v1' at row 2" in err
 
     header = tmp_path / "hdr.csv"
     header.write_text("name,value\nv0,1.0\n")
@@ -890,6 +890,7 @@ def test_cli_version_and_bad_flags(run_cli):
 
 
 def test_readme_experiment_table_matches_the_cli():
+    import inspect
     from pathlib import Path
 
     from netacorr.experiments import _STUDIES
@@ -903,6 +904,15 @@ def test_readme_experiment_table_matches_the_cli():
         assert listed_runner == f"`{runner.__name__}`"
         flags = [part.split()[0].strip("`") for part in listed.split(", ")]
         assert flags == ["--" + opt.replace("_", "-") for opt in options]
+
+    # A runner takes the keywords its options map to, reps and seed, and no
+    # other setting. Until G2, the benchmark also passes threads to every
+    # runner and include_permuted_baseline to spurious-regression.
+    held = {name: {"threads"} for name in _STUDIES}
+    held["spurious-regression"].add("include_permuted_baseline")
+    for name, (runner, options) in _STUDIES.items():
+        assert set(inspect.signature(runner).parameters) == {
+            "net", *options.values(), "reps", "seed", *held[name]}, name
 
 
 @pytest.mark.parametrize("flags, message", [

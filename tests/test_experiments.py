@@ -6,7 +6,6 @@ tests run small and fast and pin structure, reproducibility, and direction.
 
 import csv
 import json
-import math
 import warnings
 
 import numpy as np
@@ -195,10 +194,6 @@ def test_gls_experiment_validation():
         run_gls_correction_experiment(NET, kinship="identity", reps=10, seed=0)
     with pytest.raises(InputError):
         run_gls_correction_experiment(NET, lambdas=(1.5,), reps=10, seed=0)
-    for estimator in ("lmm", "gls"):
-        with pytest.raises(InputError, match=r"^level must be a number in \(0, 1\)"):
-            run_gls_correction_experiment(NET, estimator=estimator, level=1.5,
-                                          reps=10, seed=0)
 
 
 def test_gls_experiment_adjacency_kinship_runs():
@@ -320,18 +315,47 @@ def test_correlation_distribution_default_settings():
     assert len(rep.replicates) == 4 * 100
 
 
-def test_correlation_distribution_sigma_list_and_tuples():
-    rep = run_correlation_distribution(
-        NET,
-        settings=[0.1, ("slow", TransmissionConfig(a=0.5, sigma=0.2, kappa=2))],
-        reps=20, seed=0,
-    )
+def test_correlation_distribution_sigma_list():
+    rep = run_correlation_distribution(NET, settings=[0.1, 0.2], reps=20, seed=0)
     labels = [row["label"] for row in rep.rows]
-    assert labels == ["iid", "sigma=0.1", "slow"]
-    with pytest.raises(InputError):
-        run_correlation_distribution(NET, settings=["fast"], reps=20, seed=0)
-    with pytest.raises(InputError):
-        run_correlation_distribution(NET, settings=[-0.5], reps=20, seed=0)
+    assert labels == ["iid", "sigma=0.1", "sigma=0.2"]
+    assert [(row["a"], row["kappa"]) for row in rep.rows[1:]] == [(0.9, 10)] * 2
+    for bad in (["fast"], [-0.5], [("slow", TransmissionConfig())]):
+        with pytest.raises(InputError, match="^sigma must be "):
+            run_correlation_distribution(NET, settings=bad, reps=20, seed=0)
+
+
+# Each study's config at its default settings on NET: its keywords' default
+# values, with the fixed interval and test levels (and, for
+# degree-confounding, the outcome loading and covariate noise).
+DEFAULT_CONFIGS = {
+    "correlation-distribution": {"n": 60, "settings": [
+        {"label": "iid", "config": None},
+        {"label": "large-error", "config": {"a": 0.9, "sigma": 0.05, "kappa": 10, "seed": 0}},
+        {"label": "moderate-error",
+         "config": {"a": 0.9, "sigma": 0.01, "kappa": 10, "seed": 0}},
+        {"label": "small-error", "config": {"a": 0.9, "sigma": 0.0, "kappa": 50, "seed": 0}},
+    ]},
+    "coverage": {"n": 60, "a": 0.5, "sigma": 0.5, "kappa_list": [0, 1, 2, 3],
+                 "level": 0.95, "alpha": 0.05, "m": 500},
+    "spurious-regression": {"n": 60, "a": 0.7, "sigma": 0.05, "kappa_list": [0, 1, 2, 3],
+                            "include_permuted_baseline": True, "level": 0.95,
+                            "alpha": 0.05, "m": 500},
+    "degree-confounding": {"n": 60, "effect_sizes": [0.0, 1.0], "outcome_effect": 0.5,
+                           "noise": 1.0, "control_degree": False, "level": 0.95,
+                           "alpha": 0.05, "m": 500},
+    "gls-correction": {"n": 60, "a": 0.7, "sigma": 0.05, "kappa_list": [1, 2, 3],
+                       "lambdas": [0.0, 0.1, 0.25, 0.5], "estimator": "lmm",
+                       "kinship": "transmission", "level": 0.95},
+}
+
+
+@pytest.mark.parametrize("name", SMALL_STUDIES)
+def test_report_config_echoes_the_default_settings(name):
+    # the JSON text pins key order and number types as well as the values
+    runner, _ = SMALL_STUDIES[name]
+    config = runner(NET, reps=2, seed=0).config
+    assert json.dumps(config) == json.dumps(DEFAULT_CONFIGS[name])
 
 
 def test_experiment_rep_and_seed_validation():
@@ -347,9 +371,8 @@ TESTING_STUDIES = {name: SMALL_STUDIES[name]
 
 
 @pytest.mark.parametrize("bad", [
-    {"m": 0}, {"m": 1.5}, {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": 2.0},
-    {"alpha": math.nan}, {"seed": -1},
-], ids=["m=0", "m=1.5", "alpha=0", "alpha=1", "alpha=2", "alpha=nan", "seed=-1"])
+    {"m": 0}, {"m": 1.5}, {"seed": -1},
+], ids=["m=0", "m=1.5", "seed=-1"])
 @pytest.mark.parametrize("name", TESTING_STUDIES)
 def test_study_test_settings_fail_before_any_simulation(name, bad, monkeypatch):
     def simulated(*args, **kwargs):
@@ -389,11 +412,12 @@ def _full_rejects(ys, w, s0, m, seed, alpha):
 def test_early_stop_reports_equal_full_permutation_tests(name, cores, monkeypatch):
     # m = 1100 spans three 512-row chunks, scored by one worker or, on two
     # cores, by two that each stop on their own counts; the full tests always
-    # run on one worker, so a lost worker's counts show. alpha 0.2 makes both
-    # bits common
+    # run on one worker, so a lost worker's counts show. A test level of 0.2
+    # makes both bits common
     monkeypatch.setattr(deptest, "_cores", lambda: cores)
+    monkeypatch.setattr(experiments, "_ALPHA", 0.2)
     runner, kwargs = TESTING_STUDIES[name]
-    args = {**kwargs, "reps": 12, "seed": 5, "m": 1100, "alpha": 0.2}
+    args = {**kwargs, "reps": 12, "seed": 5, "m": 1100}
     fast = runner(NET, **args)
     monkeypatch.setattr(deptest, "_cores", lambda: 1)
     monkeypatch.setattr(experiments, "_rejects", _full_rejects)

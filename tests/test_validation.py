@@ -140,13 +140,6 @@ CASES = [
         ExperimentReport("x", 2, 0, {}, []), os.path.join(os.devnull, "out"), fmt=v), CHOICE),
     ("run_correlation_distribution", "sigma",
      runner("correlation-distribution", "settings", lambda v: [v]), real(-0.1)),
-    ("run_correlation_distribution", "kappa",
-     runner("correlation-distribution", "settings",
-            lambda v: [("slow", TransmissionConfig(kappa=v))]), count(0)),
-    ("run_degree_confounding_experiment", "outcome_effect",
-     runner("degree-confounding", "outcome_effect"), real(-math.inf)),
-    ("run_degree_confounding_experiment", "noise", runner("degree-confounding", "noise"),
-     real(0.0)),
     ("run_degree_confounding_experiment", "control_degree",
      runner("degree-confounding", "control_degree"), FLAG),
     ("run_spurious_regression_experiment", "include_permuted_baseline",
@@ -162,11 +155,8 @@ for name, (run, _) in RUNNERS.items():
     CASES += [(run.__name__, "reps", runner(name, "reps"), count(2)),
               (run.__name__, "seed", runner(name, "seed"), count(0)),
               (run.__name__, "threads", runner(name, "threads"), count(1) + [-3, 2.5, "2", None])]
-    if name != "correlation-distribution":
-        CASES.append((run.__name__, "level", runner(name, "level"), real(1.0)))
     if name in ("coverage", "spurious-regression", "degree-confounding"):
-        CASES += [(run.__name__, "m", runner(name, "m"), count(1)),
-                  (run.__name__, "alpha", runner(name, "alpha"), real(1.0))]
+        CASES.append((run.__name__, "m", runner(name, "m"), count(1)))
     if name in ("coverage", "spurious-regression", "gls-correction"):
         CASES += [(run.__name__, "a", runner(name, "a"), real(1.5)),
                   (run.__name__, "sigma", runner(name, "sigma"), real(-0.1)),
@@ -232,22 +222,22 @@ def test_numpy_integer_counts_are_accepted(tmp_path):
 
     rep = run_coverage_experiment(NET, kappa_list=(i(0), i(2)), reps=i(4), seed=i(3), m=i(49))
     assert rep == run_coverage_experiment(NET, kappa_list=(0, 2), reps=4, seed=3, m=49)
-    corr = run_correlation_distribution(
-        NET, settings=[("slow", TransmissionConfig(kappa=i(2), seed=i(0)))], reps=i(3))
+    corr = run_correlation_distribution(NET, settings=[i(2)], reps=i(3))
     for report in (rep, corr):
         (path,) = write_report(report, tmp_path, fmt="json")
         with open(path) as fh:
             doc = json.load(fh)
         assert doc["reps"] == report.reps and doc["rows"] == report.rows
-    assert doc["config"]["settings"][1]["config"]["kappa"] == 2
+    assert doc["config"]["settings"][1] == {
+        "label": "sigma=2", "config": {"a": 0.9, "sigma": 2.0, "kappa": 10, "seed": 0}}
 
     # numpy scalars and arrays in a study's arguments are echoed in its
     # report, and a JSON report writes them as the Python numbers they hold
     inputs = [("degree-confounding", "effect_sizes", np.array([0, 1])),
               ("gls-correction", "lambdas", np.array([0, 1])),
-              ("coverage", "alpha", np.float32(0.05)), ("coverage", "a", i(1)),
-              ("spurious-regression", "level", np.float32(0.9)),
-              ("degree-confounding", "outcome_effect", i(1)),
+              ("coverage", "sigma", np.float32(0.05)), ("coverage", "a", i(1)),
+              ("spurious-regression", "a", np.float32(0.9)),
+              ("gls-correction", "sigma", i(1)),
               ("degree-confounding", "control_degree", np.True_)]
     for name, key, value in inputs:
         (path,) = write_report(runner(name, key)(value), tmp_path / key, fmt="json")
