@@ -20,6 +20,8 @@ from netacorr import (
     adjacency_weights,
     direct_transmission,
     gearys_c,
+    generate_random_network,
+    inverse_geodesic_weights,
     load_edge_list,
     morans_i,
 )
@@ -128,6 +130,21 @@ def test_cli_test_both_methods_and_geary(small_case, run_cli):
     assert doc["result"]["p_normal"] is not None
     expect_c = gearys_c(y, adjacency_weights(net))
     assert doc["result"]["gearys_c"] == pytest.approx(expect_c, abs=1e-12)
+
+
+@pytest.mark.parametrize("weights", ["adjacency", "inverse-geodesic:2"])
+def test_cli_test_geary_is_the_last_csv_column(small_case, run_cli, weights):
+    # Geary's c is taken on the weights the test used
+    net, _, y, edges, values = small_case
+    code, out, _ = run_cli("test", "--edges", edges, "--values", values,
+                           "--weights", weights, "--geary", "--format", "csv")
+    assert code == 0
+    header, data = csv.reader(io.StringIO(out))
+    assert header[-1] == "result.gearys_c"
+    w = (adjacency_weights(net) if weights == "adjacency"
+         else inverse_geodesic_weights(net, gamma=2.0))
+    assert float(data[-1]) == pytest.approx(gearys_c(y, w), abs=1e-12)
+    assert float(data[-1]) > 0
 
 
 def test_cli_weights_spec(small_case, run_cli):
@@ -305,6 +322,84 @@ def test_cli_values_file_errors(small_case, run_cli, tmp_path):
                            str(tmp_path / "nope.csv"))
     assert code == 2
     assert "cannot open" in err
+
+
+@pytest.mark.parametrize("token, fault", [
+    ("nan", "non-finite"), ("inf", "non-finite"), ("-inf", "non-finite"),
+    ("apple", "non-numeric"),
+])
+@pytest.mark.parametrize("kind", ["values", "design"])
+def test_cli_bad_node_table_entry_names_its_row(small_case, run_cli, tmp_path, kind, token,
+                                                fault):
+    _, labels, y, edges, values = small_case
+    table = tmp_path / f"{kind}.csv"
+    rows = [f"{lab},{v!r}" for lab, v in zip(labels, y.tolist())]
+    rows[2] = f"{labels[2]},{token}"  # data row 3
+    table.write_text(("node,value\n" if kind == "values" else "node,x1\n")
+                     + "\n".join(rows) + "\n")
+    argv = (("test", "--values", str(table)) if kind == "values"
+            else ("residual-test", "--values", values, "--design", str(table)))
+    code, out, err = run_cli(argv[0], "--edges", edges, *argv[1:])
+    assert code == 2 and out == ""
+    assert f"{table}: {fault} {kind} entry for node 'v2' at row 3" in err
+
+
+# test and residual-test read the edges, the values and the design, fit, and
+# build the weights in that order, so the first faulty input is the one named.
+@pytest.mark.parametrize("command, faults, first", [
+    ("test", ("edges", "values", "weights"), "edges"),
+    ("residual-test", ("edges", "values", "design", "weights"), "edges"),
+    ("test", ("values", "weights"), "values"),
+    ("residual-test", ("values", "design", "weights"), "values"),
+    ("residual-test", ("design", "weights"), "design"),
+    ("residual-test", ("collinear", "weights"), "collinear"),
+    ("test", ("weights",), "weights"),
+    ("residual-test", ("weights",), "weights"),
+], ids=lambda v: "+".join(v) if isinstance(v, tuple) else v)
+def test_cli_test_names_its_first_faulty_input(small_case, run_cli, tmp_path, command,
+                                               faults, first):
+    _, labels, y, edges, values = small_case
+    bad_values = tmp_path / "bad-values.csv"
+    bad_values.write_text("node,value\nv0,apple\n")
+    bad_design = tmp_path / "bad-design.csv"
+    _write_design(bad_design, labels, {"x1": np.where(y > 0, math.inf, 1.0)})
+    collinear = tmp_path / "collinear.csv"
+    _write_design(collinear, labels, {"x1": y ** 2, "x2": 2.0 * y ** 2})
+    good_design = tmp_path / "design.csv"
+    _write_design(good_design, labels, {"x1": y ** 2})
+    missing = tmp_path / "no-edges.csv"
+    messages = {"edges": f"cannot open {str(missing)!r}",
+                "values": f"{bad_values}: non-numeric values entry",
+                "design": f"{bad_design}: non-finite design entry",
+                "collinear": "rank deficient",
+                "weights": "unknown weights spec 'nearest'"}
+    design = (collinear if "collinear" in faults
+              else bad_design if "design" in faults else good_design)
+    argv = ["--edges", missing if "edges" in faults else edges,
+            "--values", bad_values if "values" in faults else values,
+            "--weights", "nearest" if "weights" in faults else "adjacency"]
+    if command == "residual-test":
+        argv += ["--design", design]
+    code, out, err = run_cli(command, *argv)
+    assert code == 2 and out == ""
+    assert messages[first] in err
+    assert not any(messages[fault] in err for fault in faults if fault != first)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("test", "--design", "DESIGN"), "unrecognized arguments: --design"),
+    (("residual-test", "--design", "DESIGN", "--geary"), "unrecognized arguments: --geary"),
+    (("residual-test",), "the following arguments are required: --design"),
+])
+def test_cli_design_and_geary_belong_to_one_command_each(small_case, run_cli, tmp_path,
+                                                          argv, message):
+    _, labels, y, edges, values = small_case
+    design = tmp_path / "design.csv"
+    _write_design(design, labels, {"x1": y ** 2})
+    argv = [str(design) if arg == "DESIGN" else arg for arg in argv]
+    code, out, err = run_cli(*argv, "--edges", edges, "--values", values)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize("text, message", [
@@ -853,6 +948,38 @@ def test_cli_experiment_json(run_cli, tmp_path):
     doc = json.loads(open(path).read())
     assert doc["name"] == "correlation-distribution"
     assert len(doc["rows"]) == 4
+
+
+@pytest.mark.parametrize("study, flags, kwargs", [
+    ("correlation-distribution", ("--sigmas", "0.1,0.5"), {"settings": [0.1, 0.5]}),
+    ("coverage", ("--kappas", "0,2", "--permutations", "9", "--sigma", "0.3"),
+     {"kappa_list": [0, 2], "m": 9, "sigma": 0.3}),
+    ("spurious-regression", ("--kappas", "1", "--permutations", "9", "--a", "0.5"),
+     {"kappa_list": [1], "m": 9, "a": 0.5}),
+    ("degree-confounding", ("--effect-sizes", "0,2", "--permutations", "9",
+                            "--control-degree"),
+     {"effect_sizes": [0.0, 2.0], "m": 9, "control_degree": True}),
+    ("gls-correction", ("--kappas", "1", "--lambdas", "0,0.5", "--estimator", "gls"),
+     {"kappa_list": [1], "lambdas": [0.0, 0.5], "estimator": "gls"}),
+])
+def test_cli_experiment_json_document_is_the_runners_report(run_cli, tmp_path, study, flags,
+                                                            kwargs):
+    # the CLI maps its options onto the runner's keywords and writes the
+    # runner's report, its config echo of the fixed settings included
+    from netacorr.experiments import _STUDIES, write_report
+
+    code, out, _ = run_cli("experiment", study, "--n", "30", "--reps", "3", "--seed", "4",
+                           *flags, "--format", "json", "--out", str(tmp_path / "cli"))
+    assert code == 0
+    runner, _ = _STUDIES[study]
+    report = runner(generate_random_network(30), reps=3, seed=4, **kwargs)
+    (path,) = write_report(report, tmp_path / "lib", fmt="json")
+    with open(out.strip()) as fh, open(path) as expected:
+        text = fh.read()
+        assert text == expected.read()
+    if study == "correlation-distribution":
+        labels = [row["label"] for row in json.loads(text)["rows"]]
+        assert labels == ["iid", "sigma=0.1", "sigma=0.5"]
 
 
 def test_cli_experiment_has_no_threads_option(small_case, run_cli, monkeypatch, tmp_path):

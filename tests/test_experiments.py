@@ -320,9 +320,17 @@ def test_correlation_distribution_sigma_list():
     labels = [row["label"] for row in rep.rows]
     assert labels == ["iid", "sigma=0.1", "sigma=0.2"]
     assert [(row["a"], row["kappa"]) for row in rep.rows[1:]] == [(0.9, 10)] * 2
-    for bad in (["fast"], [-0.5], [("slow", TransmissionConfig())]):
-        with pytest.raises(InputError, match="^sigma must be "):
-            run_correlation_distribution(NET, settings=bad, reps=20, seed=0)
+
+
+@pytest.mark.parametrize("settings, name", [
+    (["fast"], "sigma"), ([-0.5], "sigma"), ([None], "sigma"), ([[0.1]], "sigma"),
+    ([TransmissionConfig()], "sigma"), ([("slow", TransmissionConfig())], "sigma"),
+    (0.1, "settings"), ("0.1", "settings"),
+], ids=["text", "negative", "None", "nested-list", "config", "labelled-config",
+        "scalar", "string"])
+def test_correlation_distribution_takes_only_a_list_of_sigmas(settings, name):
+    with pytest.raises(InputError, match=f"^{name} must be "):
+        run_correlation_distribution(NET, settings=settings, reps=20, seed=0)
 
 
 # Each study's config at its default settings on NET: its keywords' default
@@ -358,6 +366,43 @@ def test_report_config_echoes_the_default_settings(name):
     assert json.dumps(config) == json.dumps(DEFAULT_CONFIGS[name])
 
 
+# Each fixed setting a study echoes in its config, and no runner takes as a
+# keyword, not even at its fixed value.
+FIXED_SETTINGS = [(name, key) for name, config in DEFAULT_CONFIGS.items()
+                  for key in ("level", "alpha", "outcome_effect", "noise") if key in config]
+
+
+@pytest.mark.parametrize("name, key", FIXED_SETTINGS,
+                         ids=[f"{name}-{key}" for name, key in FIXED_SETTINGS])
+def test_fixed_settings_are_not_runner_keywords(name, key, monkeypatch):
+    def simulated(*args, **kwargs):
+        raise AssertionError("the study simulated")
+
+    monkeypatch.setattr(experiments, "_rng", simulated)
+    runner, kwargs = SMALL_STUDIES[name]
+    args = {**kwargs, "reps": 2, "seed": 0, key: DEFAULT_CONFIGS[name][key]}
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+        runner(NET, **args)
+
+
+@pytest.mark.parametrize("name", [name for name in SMALL_STUDIES
+                                  if "level" in DEFAULT_CONFIGS[name]])
+def test_intervals_are_at_the_echoed_level(name):
+    # a replicate is covered when its interval, estimate -/+ z * se at the
+    # level the config echoes, brackets the true value 0
+    runner, kwargs = SMALL_STUDIES[name]
+    rep = runner(NET, **{**kwargs, "reps": 20, "seed": 2})
+    assert rep.config["level"] == 0.95
+    est = "estimate" if name == "coverage" else "slope"
+
+    def covered(level):
+        z = stats.norm.ppf(0.5 + level / 2.0)
+        return [int(abs(rec[est]) <= z * rec["se"]) for rec in rep.replicates]
+
+    assert [rec["covered"] for rec in rep.replicates] == covered(0.95)
+    assert covered(0.95) != covered(0.9)  # the replicates tell the two levels apart
+
+
 def test_experiment_rep_and_seed_validation():
     with pytest.raises(InputError):
         run_coverage_experiment(NET, reps=1, seed=0)
@@ -384,6 +429,21 @@ def test_study_test_settings_fail_before_any_simulation(name, bad, monkeypatch):
     args = {**kwargs, "reps": 4, "seed": 0, **bad}
     with pytest.raises(InputError, match=f"^{next(iter(bad))} "):
         runner(NET, **args)
+
+
+@pytest.mark.parametrize("name", TESTING_STUDIES)
+def test_dependence_tests_run_at_the_echoed_level(name, monkeypatch):
+    alphas = []
+    rejects = experiments._rejects
+
+    def recorded(ys, w, s0, m, seed, alpha):
+        alphas.append(alpha)
+        return rejects(ys, w, s0, m, seed, alpha)
+
+    monkeypatch.setattr(experiments, "_rejects", recorded)
+    runner, kwargs = TESTING_STUDIES[name]
+    rep = runner(NET, **{**kwargs, "reps": 3, "seed": 0})
+    assert alphas and set(alphas) == {rep.config["alpha"]} == {0.05}
 
 
 @pytest.mark.parametrize("name", TESTING_STUDIES)
